@@ -40,7 +40,8 @@ int main() {
     size_t results = 0;
     auto compiled = doc.db->Compile(query);
     NATIX_CHECK(compiled.ok());
-    if ((*compiled)->result_type() == natix::xpath::ExprType::kNodeSet) {
+    if ((*compiled)->prepared().result_type() ==
+        natix::xpath::ExprType::kNodeSet) {
       auto nodes = (*compiled)->EvaluateNodes(doc.root, false);
       NATIX_CHECK(nodes.ok());
       results = nodes->size();

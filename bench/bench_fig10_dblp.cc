@@ -154,6 +154,10 @@ int main() {
       "[position()=last()]/title",
   };
 
+  const natix::translate::TranslatorOptions improved =
+      natix::translate::TranslatorOptions::Improved();
+  natix::translate::TranslatorOptions no_limit = improved;
+  no_limit.limit_pushdown = false;
   std::vector<Row> rows;
   std::printf("%-64s %9s %10s %10s %10s %10s %10s %6s\n", "query",
               "results", "interp[s]", "natix[s]", "presort[s]",
@@ -164,10 +168,11 @@ int main() {
     row.results = natix::benchutil::CountNatix(doc, query);
     row.interp =
         natix::benchutil::TimeInterpReps(doc, query, /*memoize=*/true);
-    row.natix = natix::benchutil::TimeNatixReps(doc, query);
+    row.natix = natix::benchutil::TimeNatixRepsWith(doc, query, improved);
     row.natix_presort = TimeOrdered(doc, query, /*presort=*/true);
     row.natix_ordered = TimeOrdered(doc, query, /*presort=*/false);
-    row.natix_no_limit = natix::benchutil::TimeNatixRepsNoLimit(doc, query);
+    row.natix_no_limit =
+        natix::benchutil::TimeNatixRepsWith(doc, query, no_limit);
     row.early_exits =
         natix::benchutil::TimeNatixWithStats(doc, query).totals.early_exits;
     std::printf("%-64s %9zu %10.4f %10.4f %10.4f %10.4f %10.4f %6llu\n",

@@ -13,7 +13,6 @@
 namespace {
 
 using natix::Database;
-using natix::CompiledQuery;
 
 struct Fixture {
   std::unique_ptr<Database> db;
@@ -45,7 +44,8 @@ void RunQuery(benchmark::State& state, const char* query) {
   NATIX_CHECK(compiled.ok());
   size_t results = 0;
   for (auto _ : state) {
-    if ((*compiled)->result_type() == natix::xpath::ExprType::kNodeSet) {
+    if ((*compiled)->prepared().result_type() ==
+        natix::xpath::ExprType::kNodeSet) {
       auto nodes = (*compiled)->EvaluateNodes(fixture.root,
                                               /*document_order=*/false);
       NATIX_CHECK(nodes.ok());

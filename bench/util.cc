@@ -66,127 +66,71 @@ LoadedDocument LoadAll(const std::string& xml) {
   return out;
 }
 
-double TimeNatix(LoadedDocument& doc, const std::string& query,
-                 bool canonical) {
-  auto compiled = doc.db->Compile(
-      query, canonical ? translate::TranslatorOptions::Canonical()
-                       : translate::TranslatorOptions::Improved());
-  NATIX_CHECK(compiled.ok());
-  return TimeSeconds([&] {
-    if ((*compiled)->result_type() == xpath::ExprType::kNodeSet) {
-      auto nodes = (*compiled)->EvaluateNodes(doc.root,
-                                              /*document_order=*/false);
-      NATIX_CHECK(nodes.ok());
-    } else {
-      auto value = (*compiled)->EvaluateValue(doc.root);
-      NATIX_CHECK(value.ok());
-    }
-  });
+namespace {
+
+/// One evaluation from the document root; returns the NVM instructions
+/// it retired.
+uint64_t RunOnce(PreparedQuery::Execution* exec, storage::NodeId root) {
+  if (exec->prepared().result_type() == xpath::ExprType::kNodeSet) {
+    auto nodes = exec->EvaluateNodes(root, /*document_order=*/false);
+    NATIX_CHECK(nodes.ok());
+  } else {
+    auto value = exec->EvaluateValue(root);
+    NATIX_CHECK(value.ok());
+  }
+  return exec->last_stats().nvm_insns;
 }
 
-namespace {
+std::unique_ptr<PreparedQuery::Execution> CompileOrDie(
+    LoadedDocument& doc, const std::string& query,
+    const translate::TranslatorOptions& options,
+    bool collect_stats = false) {
+  auto exec = doc.db->Compile(query, options, collect_stats);
+  NATIX_CHECK(exec.ok());
+  return std::move(exec).value();
+}
+
+}  // namespace
+
+double TimeNatix(LoadedDocument& doc, const std::string& query,
+                 bool canonical) {
+  auto exec = CompileOrDie(doc, query,
+                           canonical
+                               ? translate::TranslatorOptions::Canonical()
+                               : translate::TranslatorOptions::Improved());
+  return TimeSeconds([&] { RunOnce(exec.get(), doc.root); });
+}
 
 RepTimings TimeNatixRepsWith(LoadedDocument& doc, const std::string& query,
                              const translate::TranslatorOptions& options) {
-  auto compiled = doc.db->Compile(query, options);
-  NATIX_CHECK(compiled.ok());
-  return TimeRepeated(BenchReps(), [&] {
-    if ((*compiled)->result_type() == xpath::ExprType::kNodeSet) {
-      auto nodes = (*compiled)->EvaluateNodes(doc.root,
-                                              /*document_order=*/false);
-      NATIX_CHECK(nodes.ok());
-    } else {
-      auto value = (*compiled)->EvaluateValue(doc.root);
-      NATIX_CHECK(value.ok());
-    }
-  });
+  auto exec = CompileOrDie(doc, query, options);
+  return TimeRepeated(BenchReps(), [&] { RunOnce(exec.get(), doc.root); });
 }
-
-}  // namespace
-
-RepTimings TimeNatixReps(LoadedDocument& doc, const std::string& query,
-                         bool canonical) {
-  return TimeNatixRepsWith(
-      doc, query, canonical ? translate::TranslatorOptions::Canonical()
-                            : translate::TranslatorOptions::Improved());
-}
-
-RepTimings TimeNatixRepsNoRewrite(LoadedDocument& doc,
-                                  const std::string& query) {
-  translate::TranslatorOptions options =
-      translate::TranslatorOptions::Improved();
-  options.simplify_plan = false;
-  return TimeNatixRepsWith(doc, query, options);
-}
-
-RepTimings TimeNatixRepsNoNvmOpt(LoadedDocument& doc,
-                                 const std::string& query) {
-  translate::TranslatorOptions options =
-      translate::TranslatorOptions::Improved();
-  options.optimize_nvm = false;
-  return TimeNatixRepsWith(doc, query, options);
-}
-
-RepTimings TimeNatixRepsNoLimit(LoadedDocument& doc,
-                                const std::string& query) {
-  translate::TranslatorOptions options =
-      translate::TranslatorOptions::Improved();
-  options.limit_pushdown = false;
-  return TimeNatixRepsWith(doc, query, options);
-}
-
-namespace {
-
-/// One evaluation; returns the NVM instructions it retired.
-uint64_t RetiredByOneRun(CompiledQuery* compiled, storage::NodeId root) {
-  if (compiled->result_type() == xpath::ExprType::kNodeSet) {
-    auto nodes = compiled->EvaluateNodes(root, /*document_order=*/false);
-    NATIX_CHECK(nodes.ok());
-  } else {
-    auto value = compiled->EvaluateValue(root);
-    NATIX_CHECK(value.ok());
-  }
-  return compiled->last_stats().nvm_insns;
-}
-
-}  // namespace
 
 NvmCounts CountNvm(LoadedDocument& doc, const std::string& query) {
   NvmCounts out;
   auto optimized =
-      doc.db->Compile(query, translate::TranslatorOptions::Improved());
-  NATIX_CHECK(optimized.ok());
-  const qe::PlanTemplate& plan = (*optimized)->prepared().plan();
+      CompileOrDie(doc, query, translate::TranslatorOptions::Improved());
+  const qe::PlanTemplate& plan = optimized->prepared().plan();
   out.insns_before = plan.nvm_insns_before();
   out.insns_after = plan.nvm_insns_after();
-  out.retired_opt = RetiredByOneRun(optimized->get(), doc.root);
+  out.retired_opt = RunOnce(optimized.get(), doc.root);
 
   translate::TranslatorOptions no_opt =
       translate::TranslatorOptions::Improved();
   no_opt.optimize_nvm = false;
-  auto baseline = doc.db->Compile(query, no_opt);
-  NATIX_CHECK(baseline.ok());
-  out.retired_noopt = RetiredByOneRun(baseline->get(), doc.root);
+  out.retired_noopt =
+      RunOnce(CompileOrDie(doc, query, no_opt).get(), doc.root);
   return out;
 }
 
 StatsRun TimeNatixWithStats(LoadedDocument& doc, const std::string& query) {
-  auto compiled = doc.db->Compile(query,
-                                  translate::TranslatorOptions::Improved(),
-                                  /*collect_stats=*/true);
-  NATIX_CHECK(compiled.ok());
+  auto exec =
+      CompileOrDie(doc, query, translate::TranslatorOptions::Improved(),
+                   /*collect_stats=*/true);
   StatsRun run;
-  run.seconds = TimeSeconds([&] {
-    if ((*compiled)->result_type() == xpath::ExprType::kNodeSet) {
-      auto nodes = (*compiled)->EvaluateNodes(doc.root,
-                                              /*document_order=*/false);
-      NATIX_CHECK(nodes.ok());
-    } else {
-      auto value = (*compiled)->EvaluateValue(doc.root);
-      NATIX_CHECK(value.ok());
-    }
-  });
-  const obs::QueryStats* stats = (*compiled)->Stats();
+  run.seconds = TimeSeconds([&] { RunOnce(exec.get(), doc.root); });
+  const obs::QueryStats* stats = exec->Stats();
   NATIX_CHECK(stats != nullptr);
   run.totals = stats->ComputeTotals();
   run.buffer = stats->buffer();
@@ -383,6 +327,14 @@ void RunGeneratedFigure(const char* figure, const std::string& query,
   std::printf("%-9s %9s %12s %12s %12s %14s %14s\n", "elements", "results",
               "natix[s]", "no-rewrite[s]", "no-nvmopt[s]",
               "interp-memo[s]", "interp-naive[s]");
+  // The rewrite and NVM ablation columns: the improved translation with
+  // the property-justified simplifier / the bytecode optimizer off.
+  const translate::TranslatorOptions improved =
+      translate::TranslatorOptions::Improved();
+  translate::TranslatorOptions no_rewrite = improved;
+  no_rewrite.simplify_plan = false;
+  translate::TranslatorOptions no_nvmopt = improved;
+  no_nvmopt.optimize_nvm = false;
   double last_natix = 0;
   double last_memo = 0;
   double last_naive = 0;
@@ -399,11 +351,11 @@ void RunGeneratedFigure(const char* figure, const std::string& query,
     std::printf("%-9llu", static_cast<unsigned long long>(point.elements));
     if (last_natix <= budget_s) {
       size_t results = CountNatix(doc, query);
-      row.natix = TimeNatixReps(doc, query);
+      row.natix = TimeNatixRepsWith(doc, query, improved);
       last_natix = row.natix.median_s;
       row.results = results;
-      row.natix_no_rewrite = TimeNatixRepsNoRewrite(doc, query);
-      row.natix_no_nvmopt = TimeNatixRepsNoNvmOpt(doc, query);
+      row.natix_no_rewrite = TimeNatixRepsWith(doc, query, no_rewrite);
+      row.natix_no_nvmopt = TimeNatixRepsWith(doc, query, no_nvmopt);
       row.nvm = CountNvm(doc, query);
       // A second, instrumented run gathers the per-operator counters
       // without polluting the uninstrumented timings above.

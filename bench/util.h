@@ -56,28 +56,14 @@ LoadedDocument LoadAll(const std::string& xml);
 double TimeNatix(LoadedDocument& doc, const std::string& query,
                  bool canonical = false);
 
-/// BenchReps() repetitions of the algebraic engine on `query` (one
-/// compile, repeated evaluations).
-RepTimings TimeNatixReps(LoadedDocument& doc, const std::string& query,
-                         bool canonical = false);
-
-/// Same, but with the property-justified simplifier off
-/// (improved translation, simplify_plan = false): the "before" column
-/// of the rewrite ablation in the emitted BENCH_*.json.
-RepTimings TimeNatixRepsNoRewrite(LoadedDocument& doc,
-                                  const std::string& query);
-
-/// Same, but with the NVM bytecode optimizer off (improved translation,
-/// optimize_nvm = false): the ablation baseline for the subscript
-/// instruction counts in the emitted BENCH_*.json.
-RepTimings TimeNatixRepsNoNvmOpt(LoadedDocument& doc,
-                                 const std::string& query);
-
-/// Same, but with the positional Limit pushdown off (improved
-/// translation, limit_pushdown = false): the "natix_no_limit" ablation
-/// column of BENCH_fig10.json (docs/LIMIT-PUSHDOWN.md).
-RepTimings TimeNatixRepsNoLimit(LoadedDocument& doc,
-                                const std::string& query);
+/// BenchReps() repetitions of the algebraic engine on `query` compiled
+/// with `options` (one compile, repeated evaluations). The figure
+/// drivers pass the ablation's options: simplify_plan = false for the
+/// "natix_no_rewrite" column, optimize_nvm = false for
+/// "natix_no_nvmopt", limit_pushdown = false for "natix_no_limit"
+/// (docs/LIMIT-PUSHDOWN.md).
+RepTimings TimeNatixRepsWith(LoadedDocument& doc, const std::string& query,
+                             const translate::TranslatorOptions& options);
 
 /// NVM subscript instruction counts for `query`: static bytecode sizes
 /// before/after optimization (summed over the plan's subscripts) and

@@ -41,20 +41,21 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("\n=== canonical translation (Sec. 3) ===\n%s",
-              (*canonical)->ExplainLogical().c_str());
+              (*canonical)->prepared().ExplainLogical().c_str());
 
   auto improved = (*db)->Compile(
       query, natix::translate::TranslatorOptions::Improved());
   if (!improved.ok()) return 1;
   std::printf("\n=== improved translation (Sec. 4) ===\n%s",
-              (*improved)->ExplainLogical().c_str());
+              (*improved)->prepared().ExplainLogical().c_str());
   std::printf("\n=== physical plan (register assignments) ===\n%s",
-              (*improved)->ExplainPhysical().c_str());
+              (*improved)->prepared().ExplainPhysical().c_str());
   std::printf("\n=== static verification ===\ncanonical: %s\nimproved:  %s\n",
-              (*canonical)->VerificationReport().c_str(),
-              (*improved)->VerificationReport().c_str());
+              (*canonical)->prepared().VerificationReport().c_str(),
+              (*improved)->prepared().VerificationReport().c_str());
 
-  if ((*improved)->result_type() == natix::xpath::ExprType::kNodeSet) {
+  if ((*improved)->prepared().result_type() ==
+      natix::xpath::ExprType::kNodeSet) {
     auto canonical_nodes = (*canonical)->EvaluateNodes(info->root);
     auto improved_nodes = (*improved)->EvaluateNodes(info->root);
     if (canonical_nodes.ok() && improved_nodes.ok()) {

@@ -71,6 +71,6 @@ int main() {
   // 7. Inspect the translated algebra of a query.
   auto explain = (*db)->Compile("//book[position() = last()]");
   std::printf("\nlogical plan of //book[position() = last()]:\n%s",
-              (*explain)->ExplainLogical().c_str());
+              (*explain)->prepared().ExplainLogical().c_str());
   return 0;
 }

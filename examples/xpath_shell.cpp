@@ -40,7 +40,8 @@ void Evaluate(natix::Database& db, const std::string& doc,
     std::printf("error: %s\n", compiled.status().ToString().c_str());
     return;
   }
-  if ((*compiled)->result_type() == natix::xpath::ExprType::kNodeSet) {
+  if ((*compiled)->prepared().result_type() ==
+      natix::xpath::ExprType::kNodeSet) {
     auto nodes = (*compiled)->EvaluateNodes(root->id());
     if (!nodes.ok()) {
       std::printf("error: %s\n", nodes.status().ToString().c_str());
@@ -77,7 +78,7 @@ void Explain(natix::Database& db, const std::string& query,
     std::printf("error: %s\n", compiled.status().ToString().c_str());
     return;
   }
-  std::printf("%s", (*compiled)->ExplainLogical().c_str());
+  std::printf("%s", (*compiled)->prepared().ExplainLogical().c_str());
 }
 
 }  // namespace

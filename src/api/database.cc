@@ -130,20 +130,19 @@ StatusOr<std::shared_ptr<const PreparedQuery>> Database::Prepare(
   return prepared;
 }
 
-StatusOr<std::unique_ptr<CompiledQuery>> Database::Compile(
+StatusOr<std::unique_ptr<PreparedQuery::Execution>> Database::Compile(
     std::string_view xpath, const translate::TranslatorOptions& options,
     bool collect_stats) const {
   NATIX_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedQuery> prepared,
                          Prepare(xpath, options));
-  return CompiledQuery::FromPrepared(std::move(prepared), collect_stats);
+  return prepared->NewExecution(collect_stats);
 }
 
 StatusOr<std::vector<storage::StoredNode>> Database::QueryNodes(
     std::string_view document, std::string_view xpath) const {
   NATIX_ASSIGN_OR_RETURN(storage::DocumentInfo info,
                          store_->FindDocument(document));
-  NATIX_ASSIGN_OR_RETURN(std::unique_ptr<CompiledQuery> query,
-                         Compile(xpath));
+  NATIX_ASSIGN_OR_RETURN(auto query, Compile(xpath));
   return query->EvaluateNodes(info.root);
 }
 
@@ -151,8 +150,7 @@ StatusOr<std::string> Database::QueryString(std::string_view document,
                                             std::string_view xpath) const {
   NATIX_ASSIGN_OR_RETURN(storage::DocumentInfo info,
                          store_->FindDocument(document));
-  NATIX_ASSIGN_OR_RETURN(std::unique_ptr<CompiledQuery> query,
-                         Compile(xpath));
+  NATIX_ASSIGN_OR_RETURN(auto query, Compile(xpath));
   return query->EvaluateString(info.root);
 }
 
@@ -160,8 +158,7 @@ StatusOr<double> Database::QueryNumber(std::string_view document,
                                        std::string_view xpath) const {
   NATIX_ASSIGN_OR_RETURN(storage::DocumentInfo info,
                          store_->FindDocument(document));
-  NATIX_ASSIGN_OR_RETURN(std::unique_ptr<CompiledQuery> query,
-                         Compile(xpath));
+  NATIX_ASSIGN_OR_RETURN(auto query, Compile(xpath));
   return query->EvaluateNumber(info.root);
 }
 
@@ -169,8 +166,7 @@ StatusOr<bool> Database::QueryBoolean(std::string_view document,
                                       std::string_view xpath) const {
   NATIX_ASSIGN_OR_RETURN(storage::DocumentInfo info,
                          store_->FindDocument(document));
-  NATIX_ASSIGN_OR_RETURN(std::unique_ptr<CompiledQuery> query,
-                         Compile(xpath));
+  NATIX_ASSIGN_OR_RETURN(auto query, Compile(xpath));
   return query->EvaluateBoolean(info.root);
 }
 

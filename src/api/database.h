@@ -8,7 +8,6 @@
 
 #include "api/plan_cache.h"
 #include "api/prepared_query.h"
-#include "api/query.h"
 #include "base/statusor.h"
 #include "storage/node_store.h"
 #include "storage/stored_node.h"
@@ -87,10 +86,12 @@ class Database {
       const translate::TranslatorOptions& options =
           translate::TranslatorOptions::Improved()) const;
 
-  /// Compiles a reusable query (plan served from the cache when
-  /// possible). With `collect_stats` the query carries the per-operator
-  /// EXPLAIN ANALYZE counters (CompiledQuery::Stats).
-  StatusOr<std::unique_ptr<CompiledQuery>> Compile(
+  /// Prepare() plus one NewExecution(): a reusable, single-threaded
+  /// execution whose plan is served from the cache when possible. With
+  /// `collect_stats` it carries the per-operator EXPLAIN ANALYZE
+  /// counters (Execution::Stats). Explain and type accessors live on
+  /// its prepared() query.
+  StatusOr<std::unique_ptr<PreparedQuery::Execution>> Compile(
       std::string_view xpath,
       const translate::TranslatorOptions& options =
           translate::TranslatorOptions::Improved(),

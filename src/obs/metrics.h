@@ -9,7 +9,7 @@
 #include <vector>
 
 // Process-wide metrics: lock-free counters and log-bucketed latency
-// histograms, fed automatically by every CompiledQuery compile/execute,
+// histograms, fed automatically by every Prepare and Execution run,
 // plus a bounded slow-query log. Snapshots render as JSON
 // (MetricsRegistry::SnapshotJson) or a p50/p90/p99 table (RenderText);
 // natixq surfaces them via --metrics and --slow-log.

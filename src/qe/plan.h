@@ -58,12 +58,13 @@ class PlanTemplate {
   /// The logical plan this was compiled from (explain output).
   const std::string& logical_plan() const { return logical_plan_; }
 
-  /// The physical iterator tree with register assignments and NVM
-  /// subscript disassembly (the NQE execution plan).
+  /// The physical iterator tree with its register assignments, aliases
+  /// marked (the NQE execution plan). The NVM subscript listings are
+  /// nvm_listing_before() / nvm_listing_after().
   const std::string& physical_plan() const { return physical_plan_; }
 
   /// One-line verdict of the static plan verifier: "VERIFIED (...)" when
-  /// all three layers passed, or a note that verification was skipped
+  /// all four layers passed, or a note that verification was skipped
   /// (violations never reach a PlanTemplate — compilation fails instead).
   const std::string& verification() const { return verification_; }
 

@@ -63,8 +63,8 @@ Status ReadHttpRequest(int fd, HttpRequest* request);
 Status WriteHttpResponse(int fd, const HttpResponse& response,
                          bool keep_alive);
 
-/// A blocking keep-alive client for tests and bench_serving: one
-/// connection, lock-step request/response.
+/// A blocking keep-alive client for tests and perfbench's serve-mix
+/// workload: one connection, lock-step request/response.
 class HttpClient {
  public:
   /// Prepares a client for 127.0.0.1:`port`; connects on first use.

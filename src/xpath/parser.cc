@@ -1,6 +1,8 @@
 #include "xpath/parser.h"
 
+#include <algorithm>
 #include <optional>
+#include <string>
 #include <utility>
 
 #include "obs/trace.h"
@@ -11,6 +13,22 @@ namespace natix::xpath {
 namespace {
 
 using runtime::Axis;
+
+// Hard input bounds, checked while parsing so that hostile query text
+// fails fast with kInvalidArgument instead of exhausting the stack or
+// the memory of the parser and of every later pipeline stage.
+/// Nesting levels, a bound on the depth of the AST and of the plan
+/// translated from it. Each parenthesized expression, function argument,
+/// predicate, binary operator and unary minus is one level above its
+/// operands. The operands of one node do not add up: a left-deep chain
+/// such as `a or b or c`, or a list of predicates on one step, grows by
+/// one level per link, not by the height of each operand.
+constexpr size_t kMaxNestingDepth = 128;
+/// Location steps and predicates in the whole query, including the
+/// descendant-or-self steps `//` expands to. Each becomes at least one
+/// operator of the plan, and compile time grows superlinearly in their
+/// number.
+constexpr size_t kMaxStepsAndPredicates = 256;
 
 std::optional<Axis> LookupAxis(std::string_view name) {
   // Standard names plus the abbreviations the paper uses in Fig. 5.
@@ -88,7 +106,52 @@ class Parser {
     return false;
   }
 
-  ExprPtr Binary(BinaryOp op, ExprPtr lhs, ExprPtr rhs) {
+  // depth_ is the height of the AST built so far on the current parse
+  // path (kMaxNestingDepth): a parse function entered at depth_ == d
+  // returns with d plus the height of what it built. The operands of one
+  // node are parsed from the same base level, and the node lies one
+  // level above the highest of them.
+
+  /// Adds one level on top of depth_.
+  Status EnterNested() {
+    if (++depth_ > kMaxNestingDepth) {
+      return Error("expression nested deeper than " +
+                   std::to_string(kMaxNestingDepth) + " levels");
+    }
+    return Status::OK();
+  }
+
+  /// Rewinds depth_ to `base` before the next operand of a node and
+  /// returns the level the node's earlier operands reached.
+  size_t StartOperand(size_t base) {
+    const size_t top = depth_;
+    depth_ = base;
+    return top;
+  }
+
+  /// Ends an operand: depth_ becomes the highest level any operand of
+  /// the node reached so far.
+  void EndOperand(size_t top) { depth_ = std::max(depth_, top); }
+
+  /// Ends one link of a left-deep chain: the new node lies one level
+  /// above the higher of the chain so far (`top`) and the operand just
+  /// parsed.
+  Status EndLink(size_t top) {
+    EndOperand(top);
+    return EnterNested();
+  }
+
+  Status CountStepOrPredicate() {
+    if (++steps_and_predicates_ > kMaxStepsAndPredicates) {
+      return Error("more than " + std::to_string(kMaxStepsAndPredicates) +
+                   " location steps and predicates");
+    }
+    return Status::OK();
+  }
+
+  StatusOr<ExprPtr> Binary(BinaryOp op, ExprPtr lhs, ExprPtr rhs,
+                           size_t lhs_top) {
+    NATIX_RETURN_IF_ERROR(EndLink(lhs_top));
     ExprPtr e = MakeExpr(ExprKind::kBinary);
     e->op = op;
     e->children.push_back(std::move(lhs));
@@ -97,24 +160,32 @@ class Parser {
   }
 
   StatusOr<ExprPtr> ParseOrExpr() {
+    NATIX_RETURN_IF_ERROR(EnterNested());
+    const size_t base = depth_;
     NATIX_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAndExpr());
     while (AcceptOperatorName("or")) {
+      const size_t top = StartOperand(base);
       NATIX_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAndExpr());
-      lhs = Binary(BinaryOp::kOr, std::move(lhs), std::move(rhs));
+      NATIX_ASSIGN_OR_RETURN(
+          lhs, Binary(BinaryOp::kOr, std::move(lhs), std::move(rhs), top));
     }
     return lhs;
   }
 
   StatusOr<ExprPtr> ParseAndExpr() {
+    const size_t base = depth_;
     NATIX_ASSIGN_OR_RETURN(ExprPtr lhs, ParseEqualityExpr());
     while (AcceptOperatorName("and")) {
+      const size_t top = StartOperand(base);
       NATIX_ASSIGN_OR_RETURN(ExprPtr rhs, ParseEqualityExpr());
-      lhs = Binary(BinaryOp::kAnd, std::move(lhs), std::move(rhs));
+      NATIX_ASSIGN_OR_RETURN(
+          lhs, Binary(BinaryOp::kAnd, std::move(lhs), std::move(rhs), top));
     }
     return lhs;
   }
 
   StatusOr<ExprPtr> ParseEqualityExpr() {
+    const size_t base = depth_;
     NATIX_ASSIGN_OR_RETURN(ExprPtr lhs, ParseRelationalExpr());
     while (true) {
       BinaryOp op;
@@ -125,12 +196,15 @@ class Parser {
       } else {
         return lhs;
       }
+      const size_t top = StartOperand(base);
       NATIX_ASSIGN_OR_RETURN(ExprPtr rhs, ParseRelationalExpr());
-      lhs = Binary(op, std::move(lhs), std::move(rhs));
+      NATIX_ASSIGN_OR_RETURN(lhs,
+                             Binary(op, std::move(lhs), std::move(rhs), top));
     }
   }
 
   StatusOr<ExprPtr> ParseRelationalExpr() {
+    const size_t base = depth_;
     NATIX_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAdditiveExpr());
     while (true) {
       BinaryOp op;
@@ -145,12 +219,15 @@ class Parser {
       } else {
         return lhs;
       }
+      const size_t top = StartOperand(base);
       NATIX_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAdditiveExpr());
-      lhs = Binary(op, std::move(lhs), std::move(rhs));
+      NATIX_ASSIGN_OR_RETURN(lhs,
+                             Binary(op, std::move(lhs), std::move(rhs), top));
     }
   }
 
   StatusOr<ExprPtr> ParseAdditiveExpr() {
+    const size_t base = depth_;
     NATIX_ASSIGN_OR_RETURN(ExprPtr lhs, ParseMultiplicativeExpr());
     while (true) {
       BinaryOp op;
@@ -161,12 +238,15 @@ class Parser {
       } else {
         return lhs;
       }
+      const size_t top = StartOperand(base);
       NATIX_ASSIGN_OR_RETURN(ExprPtr rhs, ParseMultiplicativeExpr());
-      lhs = Binary(op, std::move(lhs), std::move(rhs));
+      NATIX_ASSIGN_OR_RETURN(lhs,
+                             Binary(op, std::move(lhs), std::move(rhs), top));
     }
   }
 
   StatusOr<ExprPtr> ParseMultiplicativeExpr() {
+    const size_t base = depth_;
     NATIX_ASSIGN_OR_RETURN(ExprPtr lhs, ParseUnaryExpr());
     while (true) {
       BinaryOp op;
@@ -179,13 +259,16 @@ class Parser {
       } else {
         return lhs;
       }
+      const size_t top = StartOperand(base);
       NATIX_ASSIGN_OR_RETURN(ExprPtr rhs, ParseUnaryExpr());
-      lhs = Binary(op, std::move(lhs), std::move(rhs));
+      NATIX_ASSIGN_OR_RETURN(lhs,
+                             Binary(op, std::move(lhs), std::move(rhs), top));
     }
   }
 
   StatusOr<ExprPtr> ParseUnaryExpr() {
     if (Accept(TokenKind::kMinus)) {
+      NATIX_RETURN_IF_ERROR(EnterNested());
       NATIX_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnaryExpr());
       ExprPtr e = MakeExpr(ExprKind::kNegate);
       e->children.push_back(std::move(operand));
@@ -195,12 +278,15 @@ class Parser {
   }
 
   StatusOr<ExprPtr> ParseUnionExpr() {
+    const size_t base = depth_;
     NATIX_ASSIGN_OR_RETURN(ExprPtr first, ParsePathExpr());
     if (Peek().kind != TokenKind::kPipe) return first;
     ExprPtr u = MakeExpr(ExprKind::kUnion);
     u->children.push_back(std::move(first));
     while (Accept(TokenKind::kPipe)) {
+      const size_t top = StartOperand(base);
       NATIX_ASSIGN_OR_RETURN(ExprPtr next, ParsePathExpr());
+      EndOperand(top);
       u->children.push_back(std::move(next));
     }
     return u;
@@ -228,16 +314,13 @@ class Parser {
   StatusOr<ExprPtr> ParsePathExpr() {
     if (!StartsFilterExpr()) return ParseLocationPath();
 
+    const size_t base = depth_;
     NATIX_ASSIGN_OR_RETURN(ExprPtr primary, ParsePrimaryExpr());
     // Predicates make it a filter expression.
     if (Peek().kind == TokenKind::kLBracket) {
       ExprPtr filter = MakeExpr(ExprKind::kFilterExpr);
       filter->children.push_back(std::move(primary));
-      while (Accept(TokenKind::kLBracket)) {
-        NATIX_ASSIGN_OR_RETURN(ExprPtr predicate, ParseOrExpr());
-        NATIX_RETURN_IF_ERROR(Expect(TokenKind::kRBracket, "']'"));
-        filter->predicates.push_back(std::move(predicate));
-      }
+      NATIX_RETURN_IF_ERROR(ParsePredicatesInto(base, &filter->predicates));
       primary = std::move(filter);
     }
     // Optional trailing relative path: e/π or e//π.
@@ -246,11 +329,13 @@ class Parser {
       ExprPtr path = MakeExpr(ExprKind::kPathExpr);
       path->children.push_back(std::move(primary));
       if (Accept(TokenKind::kDoubleSlash)) {
-        path->steps.push_back(DescendantOrSelfStep());
+        NATIX_RETURN_IF_ERROR(AddDescendantOrSelfStep(&path->steps));
       } else {
         NATIX_RETURN_IF_ERROR(Expect(TokenKind::kSlash, "'/'"));
       }
+      const size_t top = StartOperand(base);
       NATIX_RETURN_IF_ERROR(ParseRelativePathInto(&path->steps));
+      EndOperand(top);
       return path;
     }
     return primary;
@@ -285,8 +370,11 @@ class Parser {
         e->name = Advance().text;
         NATIX_RETURN_IF_ERROR(Expect(TokenKind::kLParen, "'('"));
         if (!Accept(TokenKind::kRParen)) {
+          const size_t base = depth_;
           do {
+            const size_t top = StartOperand(base);
             NATIX_ASSIGN_OR_RETURN(ExprPtr arg, ParseOrExpr());
+            EndOperand(top);
             e->children.push_back(std::move(arg));
           } while (Accept(TokenKind::kComma));
           NATIX_RETURN_IF_ERROR(Expect(TokenKind::kRParen, "')'"));
@@ -298,18 +386,21 @@ class Parser {
     }
   }
 
-  static Step DescendantOrSelfStep() {
+  /// Appends the descendant-or-self::node() step `//` abbreviates.
+  Status AddDescendantOrSelfStep(std::vector<Step>* steps) {
+    NATIX_RETURN_IF_ERROR(CountStepOrPredicate());
     Step step;
     step.axis = Axis::kDescendantOrSelf;
     step.test.kind = AstNodeTest::Kind::kAnyKind;
-    return step;
+    steps->push_back(std::move(step));
+    return Status::OK();
   }
 
   StatusOr<ExprPtr> ParseLocationPath() {
     ExprPtr path = MakeExpr(ExprKind::kLocationPath);
     if (Accept(TokenKind::kDoubleSlash)) {
       path->absolute = true;
-      path->steps.push_back(DescendantOrSelfStep());
+      NATIX_RETURN_IF_ERROR(AddDescendantOrSelfStep(&path->steps));
       NATIX_RETURN_IF_ERROR(ParseRelativePathInto(&path->steps));
       return path;
     }
@@ -337,12 +428,17 @@ class Parser {
     }
   }
 
+  /// The steps of a path are bounded by kMaxStepsAndPredicates, not by
+  /// nesting: each is parsed from the path's own level.
   Status ParseRelativePathInto(std::vector<Step>* steps) {
+    const size_t base = depth_;
     while (true) {
+      const size_t top = StartOperand(base);
       NATIX_ASSIGN_OR_RETURN(Step step, ParseStep());
+      EndOperand(top);
       steps->push_back(std::move(step));
       if (Accept(TokenKind::kDoubleSlash)) {
-        steps->push_back(DescendantOrSelfStep());
+        NATIX_RETURN_IF_ERROR(AddDescendantOrSelfStep(steps));
         continue;
       }
       if (Accept(TokenKind::kSlash)) continue;
@@ -351,6 +447,7 @@ class Parser {
   }
 
   StatusOr<Step> ParseStep() {
+    NATIX_RETURN_IF_ERROR(CountStepOrPredicate());
     Step step;
     if (Accept(TokenKind::kDot)) {
       step.axis = Axis::kSelf;
@@ -383,12 +480,22 @@ class Parser {
       step.axis = Axis::kChild;
     }
     NATIX_ASSIGN_OR_RETURN(step.test, ParseNodeTest());
+    NATIX_RETURN_IF_ERROR(ParsePredicatesInto(depth_, &step.predicates));
+    return step;
+  }
+
+  /// Parses `[p1][p2]...`, a chain: each predicate filters the result
+  /// of the ones before it, so it adds one level.
+  Status ParsePredicatesInto(size_t base, std::vector<ExprPtr>* predicates) {
     while (Accept(TokenKind::kLBracket)) {
+      NATIX_RETURN_IF_ERROR(CountStepOrPredicate());
+      const size_t top = StartOperand(base);
       NATIX_ASSIGN_OR_RETURN(ExprPtr predicate, ParseOrExpr());
       NATIX_RETURN_IF_ERROR(Expect(TokenKind::kRBracket, "']'"));
-      step.predicates.push_back(std::move(predicate));
+      NATIX_RETURN_IF_ERROR(EndLink(top));
+      predicates->push_back(std::move(predicate));
     }
-    return step;
+    return Status::OK();
   }
 
   StatusOr<AstNodeTest> ParseNodeTest() {
@@ -427,6 +534,8 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  size_t depth_ = 0;
+  size_t steps_and_predicates_ = 0;
 };
 
 }  // namespace

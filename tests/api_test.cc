@@ -1,4 +1,4 @@
-// Tests of the public facade (natix::Database / natix::CompiledQuery):
+// Tests of the public facade (natix::Database / PreparedQuery::Execution):
 // the API surface a downstream user programs against.
 
 #include "api/database.h"
@@ -45,7 +45,7 @@ TEST(DatabaseTest, ErrorsSurfaceAsStatuses) {
   EXPECT_FALSE((*db)->LoadDocumentFile("f", "/no/such/file.xml").ok());
 }
 
-TEST(DatabaseTest, CompiledQueryIsReusableAcrossContexts) {
+TEST(DatabaseTest, ExecutionIsReusableAcrossContexts) {
   auto db = Database::CreateTemp();
   ASSERT_TRUE(db.ok());
   ASSERT_TRUE(
@@ -65,13 +65,13 @@ TEST(DatabaseTest, ResultTypeIsExposed) {
   auto db = Database::CreateTemp();
   ASSERT_TRUE(db.ok());
   ASSERT_TRUE((*db)->LoadDocument("d", "<r/>").ok());
-  EXPECT_EQ((*(*db)->Compile("//a"))->result_type(),
+  EXPECT_EQ((*(*db)->Compile("//a"))->prepared().result_type(),
             xpath::ExprType::kNodeSet);
-  EXPECT_EQ((*(*db)->Compile("count(//a)"))->result_type(),
+  EXPECT_EQ((*(*db)->Compile("count(//a)"))->prepared().result_type(),
             xpath::ExprType::kNumber);
-  EXPECT_EQ((*(*db)->Compile("'s'"))->result_type(),
+  EXPECT_EQ((*(*db)->Compile("'s'"))->prepared().result_type(),
             xpath::ExprType::kString);
-  EXPECT_EQ((*(*db)->Compile("1 = 1"))->result_type(),
+  EXPECT_EQ((*(*db)->Compile("1 = 1"))->prepared().result_type(),
             xpath::ExprType::kBoolean);
 }
 
@@ -123,7 +123,7 @@ TEST(DatabaseTest, PhysicalExplainShowsRegisters) {
   ASSERT_TRUE((*db)->LoadDocument("d", "<r/>").ok());
   auto query = (*db)->Compile("//a[count(b) = 1]");
   ASSERT_TRUE(query.ok());
-  const std::string& plan = (*query)->ExplainPhysical();
+  const std::string& plan = (*query)->prepared().ExplainPhysical();
   EXPECT_NE(plan.find("registers:"), std::string::npos);
   EXPECT_NE(plan.find("@r"), std::string::npos);       // register mapping
   EXPECT_NE(plan.find("nested"), std::string::npos);   // nested subplan
@@ -137,7 +137,7 @@ TEST(DatabaseTest, PhysicalExplainMarksAliases) {
   // least the first compiles to a register alias.
   auto query = (*db)->Compile("//a | //b");
   ASSERT_TRUE(query.ok());
-  EXPECT_NE((*query)->ExplainPhysical().find("register alias"),
+  EXPECT_NE((*query)->prepared().ExplainPhysical().find("register alias"),
             std::string::npos);
 }
 
@@ -215,7 +215,7 @@ TEST(DatabaseTest, ExplainShowsThePlan) {
   ASSERT_TRUE((*db)->LoadDocument("d", "<r/>").ok());
   auto query = (*db)->Compile("//a[2]");
   ASSERT_TRUE(query.ok());
-  const std::string& plan = (*query)->ExplainLogical();
+  const std::string& plan = (*query)->prepared().ExplainLogical();
   EXPECT_NE(plan.find("UnnestMap"), std::string::npos);
   EXPECT_NE(plan.find("Counter"), std::string::npos);
   EXPECT_NE(plan.find("Select"), std::string::npos);

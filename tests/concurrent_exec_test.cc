@@ -1,8 +1,9 @@
 // Concurrent executions over shared prepared plans: the central claim
 // of the plan/execution split is that one immutable PreparedQuery can
 // back any number of simultaneous executions. Eight threads hammer the
-// same five paper-shaped plans (and the same striped buffer pool) and
-// every result must byte-for-byte match the single-threaded golden.
+// same five paper-shaped plans (and the same buffer pool, with one
+// stripe and with eight) and every result must byte-for-byte match the
+// single-threaded golden.
 // The tsan CI job runs this binary with -fsanitize=thread, so latent
 // races in the template, the plan cache, or the pool surface here.
 
@@ -39,12 +40,12 @@ struct SharedFixture {
   std::vector<std::vector<storage::NodeId>> golden;
 };
 
-SharedFixture MakeFixture() {
+SharedFixture MakeFixture(size_t buffer_shards = 8) {
   SharedFixture f;
   Database::Options options;
   options.buffer_pages = 16;  // minimum pool: eviction traffic even on
                               // a small document
-  options.buffer_shards = 8;
+  options.buffer_shards = buffer_shards;
   auto db = Database::CreateTemp(options);
   NATIX_CHECK(db.ok());
   f.db = std::move(db).value();
@@ -79,8 +80,12 @@ SharedFixture MakeFixture() {
   return f;
 }
 
-TEST(ConcurrentExecTest, EightThreadsMatchSequentialGoldens) {
-  SharedFixture f = MakeFixture();
+/// Parametrized over the buffer-pool stripe count: 1 is the classic
+/// single-latch pool, 8 the striped one.
+class ConcurrentExecShardsTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(ConcurrentExecShardsTest, EightThreadsMatchSequentialGoldens) {
+  SharedFixture f = MakeFixture(GetParam());
 
   constexpr int kThreads = 8;
   constexpr int kExecutionsPerThread = 200;
@@ -124,6 +129,10 @@ TEST(ConcurrentExecTest, EightThreadsMatchSequentialGoldens) {
   EXPECT_EQ(errors.load(), 0);
   EXPECT_EQ(mismatches.load(), 0);
 }
+
+INSTANTIATE_TEST_SUITE_P(BufferShards, ConcurrentExecShardsTest,
+                         ::testing::Values(size_t{1}, size_t{8}),
+                         ::testing::PrintToStringParamName());
 
 TEST(ConcurrentExecTest, SharedPlanOutlivesItsDatabaseHandleHolders) {
   // Executions pin their PreparedQuery via shared_ptr: dropping every

@@ -200,7 +200,7 @@ TEST_P(ConformanceTest, FourEvaluatorsAgree) {
       ASSERT_TRUE(compiled.ok())
           << query << ": " << compiled.status().ToString();
       std::string actual;
-      if ((*compiled)->result_type() == xpath::ExprType::kNodeSet) {
+      if ((*compiled)->prepared().result_type() == xpath::ExprType::kNodeSet) {
         auto nodes = (*compiled)->EvaluateNodes(info->root);
         ASSERT_TRUE(nodes.ok())
             << query << ": " << nodes.status().ToString();

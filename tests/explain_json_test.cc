@@ -5,7 +5,8 @@
 // ExplainJson() is checked for structure and content. These five goldens
 // are the contract of the paper-query win: Figs. 6-8 lose the dedup
 // after the initial descendant step, Fig. 10's result stream is proven
-// document-ordered so the API skips its final sort.
+// document-ordered so the API skips its final sort. The same five
+// queries also pin the logical, physical and NVM listings byte-exactly.
 
 #include <gtest/gtest.h>
 
@@ -27,12 +28,12 @@ constexpr char kDblp[] =
     "<title>T2</title></article><inproceedings key=\"p1\">"
     "<title>T3</title></inproceedings></dblp>";
 
-/// Keeps the database alive alongside the compiled query (the query
+/// Keeps the database alive alongside the prepared query (the query
 /// holds a raw store pointer).
 struct Compiled {
   std::unique_ptr<Database> db;
-  std::unique_ptr<CompiledQuery> query;
-  CompiledQuery* operator->() const { return query.get(); }
+  std::shared_ptr<const PreparedQuery> query;
+  const PreparedQuery* operator->() const { return query.get(); }
 };
 
 Compiled CompileQuery(const std::string& xml, const std::string& query) {
@@ -40,9 +41,9 @@ Compiled CompileQuery(const std::string& xml, const std::string& query) {
   NATIX_CHECK(db.ok());
   auto info = (*db)->LoadDocument("doc", xml);
   NATIX_CHECK(info.ok());
-  auto compiled = (*db)->Compile(query);
-  NATIX_CHECK(compiled.ok());
-  return Compiled{std::move(db.value()), std::move(compiled.value())};
+  auto prepared = (*db)->Prepare(query);
+  NATIX_CHECK(prepared.ok());
+  return Compiled{std::move(db.value()), std::move(prepared.value())};
 }
 
 TEST(ExplainPropertiesGoldenTest, Fig6Query1) {
@@ -265,6 +266,237 @@ TEST(ExplainJsonGoldenTest, Fig6JsonCarriesDescendantClaims) {
   // …and the summaries match the rendered plan.
   EXPECT_NE(json.find("\"summary\":\"UnnestMap[c3 := c2/descendant::*]\""),
             std::string::npos);
+}
+
+// Byte-exact goldens for the plain plan renderings: ExplainLogical(),
+// ExplainPhysical() and the NVM subscript listings natixq --dump-nvm
+// prints before/after the bytecode optimizer. Any change to how or when
+// these strings are rendered must keep them byte-identical.
+struct PlanGoldens {
+  std::string logical;
+  std::string physical;
+  /// The natixq --dump-nvm=before / --dump-nvm=after listings.
+  std::string nvm_before;
+  std::string nvm_after;
+};
+
+void ExpectPlanGoldens(const std::string& xml, const std::string& query,
+                       const PlanGoldens& golden) {
+  auto q = CompileQuery(xml, query);
+  const qe::PlanTemplate& plan = q->plan();
+  EXPECT_EQ(q->ExplainLogical(), golden.logical);
+  EXPECT_EQ(q->ExplainPhysical(), golden.physical);
+  EXPECT_EQ("=== nvm before (" + std::to_string(plan.nvm_insns_before()) +
+                " instructions) ===\n" + plan.nvm_listing_before(),
+            golden.nvm_before);
+  EXPECT_EQ("=== nvm after (" + std::to_string(plan.nvm_insns_after()) +
+                " instructions) ===\n" + plan.nvm_listing_after(),
+            golden.nvm_after);
+}
+
+TEST(ExplainPlanGoldenTest, Fig6Query1) {
+  ExpectPlanGoldens(kXdoc, "/child::xdoc/desc::*/anc::*/desc::*/@id",
+                    {R"golden(UnnestMap[c6 := c5/attribute::id]
+  DupElim[c5]
+    UnnestMap[c5 := c4/descendant::*]
+      DupElim[c4]
+        UnnestMap[c4 := c3/ancestor::*]
+          UnnestMap[c3 := c2/descendant::*]
+            UnnestMap[c2 := c1/child::xdoc]
+              Map[c1 := root*(cn)]
+                SingletonScan
+)golden",
+                     R"golden(registers: 9, nested plans: 0
+UnnestMap[c6@r8 := c5@r7/attribute::id]
+  DupElim[c5@r7]
+    UnnestMap[c5@r7 := c4@r6/descendant::*]
+      DupElim[c4@r6]
+        UnnestMap[c4@r6 := c3@r5/ancestor::*]
+          UnnestMap[c3@r5 := c2@r4/descendant::*]
+            UnnestMap[c2@r4 := c1@r3/child::xdoc]
+              Map[c1@r3 := root*(cn)]
+                SingletonScan
+)golden",
+                     "=== nvm before (3 instructions) ===\n"
+                     R"golden(== Map[c1@r3] ==
+L0:
+  0: load_attr r0, t0
+  1: root r1, r0
+  2: halt r1
+)golden",
+                     "=== nvm after (3 instructions) ===\n"
+                     R"golden(== Map[c1@r3] ==
+L0:
+  0: load_attr r0, t0
+  1: root r1, r0
+  2: halt r1
+)golden"});
+}
+
+TEST(ExplainPlanGoldenTest, Fig7Query2) {
+  ExpectPlanGoldens(kXdoc, "/child::xdoc/desc::*/pre-sib::*/fol::*/@id",
+                    {R"golden(UnnestMap[c6 := c5/attribute::id]
+  DupElim[c5]
+    UnnestMap[c5 := c4/following::*]
+      DupElim[c4]
+        UnnestMap[c4 := c3/preceding-sibling::*]
+          UnnestMap[c3 := c2/descendant::*]
+            UnnestMap[c2 := c1/child::xdoc]
+              Map[c1 := root*(cn)]
+                SingletonScan
+)golden",
+                     R"golden(registers: 9, nested plans: 0
+UnnestMap[c6@r8 := c5@r7/attribute::id]
+  DupElim[c5@r7]
+    UnnestMap[c5@r7 := c4@r6/following::*]
+      DupElim[c4@r6]
+        UnnestMap[c4@r6 := c3@r5/preceding-sibling::*]
+          UnnestMap[c3@r5 := c2@r4/descendant::*]
+            UnnestMap[c2@r4 := c1@r3/child::xdoc]
+              Map[c1@r3 := root*(cn)]
+                SingletonScan
+)golden",
+                     "=== nvm before (3 instructions) ===\n"
+                     R"golden(== Map[c1@r3] ==
+L0:
+  0: load_attr r0, t0
+  1: root r1, r0
+  2: halt r1
+)golden",
+                     "=== nvm after (3 instructions) ===\n"
+                     R"golden(== Map[c1@r3] ==
+L0:
+  0: load_attr r0, t0
+  1: root r1, r0
+  2: halt r1
+)golden"});
+}
+
+TEST(ExplainPlanGoldenTest, Fig8Query3) {
+  ExpectPlanGoldens(kXdoc, "/child::xdoc/desc::*/anc::*/anc::*/@id",
+                    {R"golden(UnnestMap[c6 := c5/attribute::id]
+  DupElim[c5]
+    UnnestMap[c5 := c4/ancestor::*]
+      DupElim[c4]
+        UnnestMap[c4 := c3/ancestor::*]
+          UnnestMap[c3 := c2/descendant::*]
+            UnnestMap[c2 := c1/child::xdoc]
+              Map[c1 := root*(cn)]
+                SingletonScan
+)golden",
+                     R"golden(registers: 9, nested plans: 0
+UnnestMap[c6@r8 := c5@r7/attribute::id]
+  DupElim[c5@r7]
+    UnnestMap[c5@r7 := c4@r6/ancestor::*]
+      DupElim[c4@r6]
+        UnnestMap[c4@r6 := c3@r5/ancestor::*]
+          UnnestMap[c3@r5 := c2@r4/descendant::*]
+            UnnestMap[c2@r4 := c1@r3/child::xdoc]
+              Map[c1@r3 := root*(cn)]
+                SingletonScan
+)golden",
+                     "=== nvm before (3 instructions) ===\n"
+                     R"golden(== Map[c1@r3] ==
+L0:
+  0: load_attr r0, t0
+  1: root r1, r0
+  2: halt r1
+)golden",
+                     "=== nvm after (3 instructions) ===\n"
+                     R"golden(== Map[c1@r3] ==
+L0:
+  0: load_attr r0, t0
+  1: root r1, r0
+  2: halt r1
+)golden"});
+}
+
+TEST(ExplainPlanGoldenTest, Fig9Query4) {
+  ExpectPlanGoldens(kXdoc, "/child::xdoc/child::*/par::*/desc::*/@id",
+                    {R"golden(UnnestMap[c6 := c5/attribute::id]
+  DupElim[c5]
+    UnnestMap[c5 := c4/descendant::*]
+      DupElim[c4]
+        UnnestMap[c4 := c3/parent::*]
+          UnnestMap[c3 := c2/child::*]
+            UnnestMap[c2 := c1/child::xdoc]
+              Map[c1 := root*(cn)]
+                SingletonScan
+)golden",
+                     R"golden(registers: 9, nested plans: 0
+UnnestMap[c6@r8 := c5@r7/attribute::id]
+  DupElim[c5@r7]
+    UnnestMap[c5@r7 := c4@r6/descendant::*]
+      DupElim[c4@r6]
+        UnnestMap[c4@r6 := c3@r5/parent::*]
+          UnnestMap[c3@r5 := c2@r4/child::*]
+            UnnestMap[c2@r4 := c1@r3/child::xdoc]
+              Map[c1@r3 := root*(cn)]
+                SingletonScan
+)golden",
+                     "=== nvm before (3 instructions) ===\n"
+                     R"golden(== Map[c1@r3] ==
+L0:
+  0: load_attr r0, t0
+  1: root r1, r0
+  2: halt r1
+)golden",
+                     "=== nvm after (3 instructions) ===\n"
+                     R"golden(== Map[c1@r3] ==
+L0:
+  0: load_attr r0, t0
+  1: root r1, r0
+  2: halt r1
+)golden"});
+}
+
+TEST(ExplainPlanGoldenTest, Fig10DblpPositional) {
+  ExpectPlanGoldens(kDblp, "/dblp/article[position() = last()]/title",
+                    {R"golden(UnnestMap[c6 := c3/child::title]
+  Select[(cp4 = cs5)]
+    TmpCs[cs5; context c2]
+      Counter[cp4 := counter++, reset on c2]
+        UnnestMap[c3 := c2/child::article]
+          UnnestMap[c2 := c1/child::dblp]
+            Map[c1 := root*(cn)]
+              SingletonScan
+)golden",
+                     R"golden(registers: 9, nested plans: 0
+UnnestMap[c6@r8 := c3@r5/child::title]
+  Select[(cp4 = cs5)]
+    TmpCs[cs5@r7; context c2@r4]
+      Counter[cp4@r6 := counter++, reset on c2@r4]
+        UnnestMap[c3@r5 := c2@r4/child::article]
+          UnnestMap[c2@r4 := c1@r3/child::dblp]
+            Map[c1@r3 := root*(cn)]
+              SingletonScan
+)golden",
+                     "=== nvm before (7 instructions) ===\n"
+                     R"golden(== Map[c1@r3] ==
+L0:
+  0: load_attr r0, t0
+  1: root r1, r0
+  2: halt r1
+== Select ==
+L0:
+  0: load_attr r0, t6
+  1: load_attr r1, t7
+  2: compare r2, r0 = r1
+  3: halt r2
+)golden",
+                     "=== nvm after (7 instructions) ===\n"
+                     R"golden(== Map[c1@r3] ==
+L0:
+  0: load_attr r0, t0
+  1: root r1, r0
+  2: halt r1
+== Select ==
+L0:
+  0: load_attr r0, t6
+  1: load_attr r1, t7
+  2: compare r2, r0 = r1
+  3: halt r2
+)golden"});
 }
 
 }  // namespace

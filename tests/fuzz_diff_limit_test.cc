@@ -173,9 +173,8 @@ StatusOr<std::string> RunAlgebraic(Database* db, storage::NodeId root,
                                    bool limit_pushdown) {
   translate::TranslatorOptions options;
   options.limit_pushdown = limit_pushdown;
-  NATIX_ASSIGN_OR_RETURN(std::unique_ptr<CompiledQuery> compiled,
-                         db->Compile(query, options));
-  if (compiled->result_type() == xpath::ExprType::kNodeSet) {
+  NATIX_ASSIGN_OR_RETURN(auto compiled, db->Compile(query, options));
+  if (compiled->prepared().result_type() == xpath::ExprType::kNodeSet) {
     NATIX_ASSIGN_OR_RETURN(std::vector<storage::StoredNode> nodes,
                            compiled->EvaluateNodes(root));
     std::string out = "nodes:";

@@ -196,9 +196,8 @@ StatusOr<std::string> RunAlgebraic(Database* db, storage::NodeId root,
                                    bool optimize_nvm) {
   translate::TranslatorOptions options;
   options.optimize_nvm = optimize_nvm;
-  NATIX_ASSIGN_OR_RETURN(std::unique_ptr<CompiledQuery> compiled,
-                         db->Compile(query, options));
-  if (compiled->result_type() == xpath::ExprType::kNodeSet) {
+  NATIX_ASSIGN_OR_RETURN(auto compiled, db->Compile(query, options));
+  if (compiled->prepared().result_type() == xpath::ExprType::kNodeSet) {
     NATIX_ASSIGN_OR_RETURN(std::vector<storage::StoredNode> nodes,
                            compiled->EvaluateNodes(root));
     std::string out = "nodes:";

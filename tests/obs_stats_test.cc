@@ -40,8 +40,8 @@ Fixture Load(const std::string& xml) {
   return f;
 }
 
-std::unique_ptr<CompiledQuery> CompileWithStats(Fixture& f,
-                                                const std::string& query) {
+std::unique_ptr<PreparedQuery::Execution> CompileWithStats(
+    Fixture& f, const std::string& query) {
   auto compiled = f.db->Compile(
       query, translate::TranslatorOptions::Improved(),
       /*collect_stats=*/true);

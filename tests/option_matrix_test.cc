@@ -59,7 +59,7 @@ TEST(OptionMatrixTest, AllCombinationsAgree) {
           << query << " mask=" << mask << ": "
           << compiled.status().ToString();
       std::string rendered;
-      if ((*compiled)->result_type() == xpath::ExprType::kNodeSet) {
+      if ((*compiled)->prepared().result_type() == xpath::ExprType::kNodeSet) {
         auto nodes = (*compiled)->EvaluateNodes(info->root);
         ASSERT_TRUE(nodes.ok()) << query << " mask=" << mask;
         for (const auto& node : *nodes) {
@@ -186,11 +186,11 @@ TEST(OptionMatrixTest, StaticAnalysisSurfaceWorksInBothConfigs) {
   ASSERT_TRUE(compiled.ok());
   // Verification (including the Layer-4 resource pass) ran or was
   // skipped per build mode, never rejected a compiler-produced plan.
-  EXPECT_FALSE((*compiled)->VerificationReport().empty());
+  EXPECT_FALSE((*compiled)->prepared().VerificationReport().empty());
   // Segmentation is pure analysis: present in both configs.
-  const std::string& segments = (*compiled)->ExplainSegments();
+  const std::string& segments = (*compiled)->prepared().ExplainSegments();
   EXPECT_NE(segments.find("pipeline segments:"), std::string::npos);
-  EXPECT_NE((*compiled)->ExplainJson().find("\"segments\":["),
+  EXPECT_NE((*compiled)->prepared().ExplainJson().find("\"segments\":["),
             std::string::npos);
 
   // The lock ledger keeps its surface in both configs; under

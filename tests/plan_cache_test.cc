@@ -46,12 +46,12 @@ TEST(PlanCacheTest, CompileIsServedFromTheCacheToo) {
   EXPECT_EQ(db->plan_cache().size(), 2u);
   EXPECT_EQ(db->plan_cache().hit_count(), 1u);
   EXPECT_EQ(db->plan_cache().miss_count(), 2u);
-  // Shim executions over one cached plan stay independent.
+  // Executions over one cached plan stay independent.
   auto q1 = db->Compile("//a");
   auto q2 = db->Compile("//a");
   ASSERT_TRUE(q1.ok() && q2.ok());
   EXPECT_EQ(&(*q1)->prepared(), &(*q2)->prepared());
-  EXPECT_NE((*q1)->execution(), (*q2)->execution());
+  EXPECT_NE(q1->get(), q2->get());
 }
 
 TEST(PlanCacheTest, LruEvictionDropsTheColdestPlan) {

@@ -433,8 +433,8 @@ TEST(PlanVerifierE2eTest, CompiledQueriesReportVerified) {
         "string(//a[@id = 'x'])"}) {
     auto compiled = (*db)->Compile(query);
     ASSERT_TRUE(compiled.ok()) << query;
-    EXPECT_EQ((*compiled)->VerificationReport().rfind("VERIFIED", 0), 0u)
-        << query << ": " << (*compiled)->VerificationReport();
+    const std::string& report = (*compiled)->prepared().VerificationReport();
+    EXPECT_EQ(report.rfind("VERIFIED", 0), 0u) << query << ": " << report;
   }
   SetVerificationEnabled(was_enabled);
 }

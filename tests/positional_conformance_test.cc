@@ -96,11 +96,11 @@ StatusOr<std::string> RunAlgebraic(Database* db, storage::NodeId root,
                                    const std::string& query,
                                    const translate::TranslatorOptions& options,
                                    bool* fired = nullptr) {
-  NATIX_ASSIGN_OR_RETURN(std::unique_ptr<CompiledQuery> compiled,
-                         db->Compile(query, options));
+  NATIX_ASSIGN_OR_RETURN(auto compiled, db->Compile(query, options));
   if (fired != nullptr) {
     *fired = false;
-    for (const algebra::RewriteEvent& event : compiled->rewrites()) {
+    for (const algebra::RewriteEvent& event :
+         compiled->prepared().rewrites()) {
       if (event.rule == "limit:positional-pushdown") *fired = true;
     }
   }
@@ -224,7 +224,7 @@ TEST(PositionalConformanceTest, TmpCsReplayFreshCounterPerOuterBinding) {
     auto compiled = (*db)->Compile(c.query);
     ASSERT_TRUE(compiled.ok()) << c.query;
     std::string actual;
-    if ((*compiled)->result_type() == xpath::ExprType::kNodeSet) {
+    if ((*compiled)->prepared().result_type() == xpath::ExprType::kNodeSet) {
       auto nodes = (*compiled)->EvaluateNodes(info->root);
       ASSERT_TRUE(nodes.ok())
           << c.query << ": " << nodes.status().ToString();
@@ -270,7 +270,8 @@ TEST(PositionalConformanceTest, ApiResultLimitCapsOrderedResults) {
     auto capped = (*db)->Compile("/r/a/b", options);
     ASSERT_TRUE(capped.ok()) << "k=" << k;
     bool logged = false;
-    for (const algebra::RewriteEvent& event : (*capped)->rewrites()) {
+    for (const algebra::RewriteEvent& event :
+         (*capped)->prepared().rewrites()) {
       if (event.rule == "limit:api-result-limit") logged = true;
     }
     EXPECT_TRUE(logged) << "k=" << k;
@@ -303,7 +304,7 @@ TEST(PositionalConformanceTest, ApiResultLimitSortsUnorderedResults) {
   const char* query = "//b/ancestor::*";
   auto full = (*db)->Compile(query);
   ASSERT_TRUE(full.ok());
-  EXPECT_FALSE((*full)->ResultDocumentOrdered());
+  EXPECT_FALSE((*full)->prepared().ResultDocumentOrdered());
   auto full_nodes = (*full)->EvaluateNodes(info->root);  // API-sorted
   ASSERT_TRUE(full_nodes.ok());
   ASSERT_GE(full_nodes->size(), 3u);

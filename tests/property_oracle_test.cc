@@ -209,7 +209,8 @@ TEST(PropertyOracleTest, PositionalQueriesPassWithLimitContractArmed) {
     auto compiled = (*db)->Compile(query);
     ASSERT_TRUE(compiled.ok()) << query;
     bool has_limit = false;
-    for (const algebra::RewriteEvent& event : (*compiled)->rewrites()) {
+    for (const algebra::RewriteEvent& event :
+         (*compiled)->prepared().rewrites()) {
       if (event.rule == "limit:positional-pushdown") has_limit = true;
     }
     EXPECT_TRUE(has_limit) << query;
@@ -237,7 +238,7 @@ TEST(PropertyOracleTest, EndToEndQueriesPassWithOracleArmed) {
         "/r/child::a/descendant::b"}) {
     auto compiled = (*db)->Compile(query);
     ASSERT_TRUE(compiled.ok()) << query;
-    if ((*compiled)->result_type() == xpath::ExprType::kNodeSet) {
+    if ((*compiled)->prepared().result_type() == xpath::ExprType::kNodeSet) {
       auto nodes = (*compiled)->EvaluateNodes(info->root);
       EXPECT_TRUE(nodes.ok()) << query << ": " << nodes.status().ToString();
     } else {

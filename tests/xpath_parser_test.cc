@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 
 namespace natix::xpath {
@@ -189,6 +190,61 @@ TEST(XPathParserTest, DblpBenchmarkQueriesParse) {
   for (const char* q : queries) {
     EXPECT_TRUE(ParseXPath(q).ok()) << q;
   }
+}
+
+/// Hostile shapes that would overflow the stack of the recursive
+/// pipeline stages (or, for long paths, take seconds to compile) are
+/// rejected up front, quickly.
+void ExpectRejectedFast(const std::string& query) {
+  const auto begin = std::chrono::steady_clock::now();
+  auto expr = ParseXPath(query);
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - begin;
+  ASSERT_FALSE(expr.ok()) << query.substr(0, 40);
+  EXPECT_EQ(expr.status().code(), StatusCode::kInvalidArgument)
+      << expr.status().ToString();
+  EXPECT_LT(elapsed.count(), 1.0);
+}
+
+std::string Repeat(const std::string& piece, int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) out += piece;
+  return out;
+}
+
+TEST(XPathParserTest, DeepNestingIsRejected) {
+  ExpectRejectedFast(Repeat("(", 5000) + "1" + Repeat(")", 5000));
+  ExpectRejectedFast("/r" + Repeat("[a", 2000) + Repeat("]", 2000));
+  ExpectRejectedFast(Repeat("-", 5000) + "1");
+  // Operator chains and predicate lists build equally deep trees.
+  ExpectRejectedFast("$x" + Repeat(" or $x", 15000));
+  ExpectRejectedFast("/r" + Repeat("[1]", 5000));
+  // Within the bound, nesting still parses.
+  EXPECT_TRUE(ParseXPath(Repeat("(", 100) + "1" + Repeat(")", 100)).ok());
+  EXPECT_TRUE(ParseXPath("/r" + Repeat("[a", 60) + Repeat("]", 60)).ok());
+}
+
+TEST(XPathParserTest, SiblingOperandsDoNotAddUpToTheNestingBound) {
+  // A generated IN-list: 100 disjuncts form a chain about 100 deep.
+  std::string in_list = "//item[@k='v0'";
+  for (int i = 1; i < 100; ++i) in_list += " or @k='v" + std::to_string(i) + "'";
+  auto expr = ParseXPath(in_list + "]");
+  ASSERT_TRUE(expr.ok()) << expr.status().ToString();
+  // Two operands, each 60 levels deep, make a tree 61 levels deep.
+  const std::string deep = Repeat("(", 60) + "1" + Repeat(")", 60);
+  EXPECT_TRUE(ParseXPath(deep + " or " + deep).ok());
+  EXPECT_TRUE(ParseXPath("concat(" + deep + ", " + deep + ")").ok());
+  // One predicate on each of 127 steps.
+  EXPECT_TRUE(ParseXPath("/r" + Repeat("/a[1]", 127)).ok());
+}
+
+TEST(XPathParserTest, LongPathsAreRejected) {
+  ExpectRejectedFast("/r" + Repeat("/a", 20000));
+  ExpectRejectedFast(Repeat("//a", 200));  // each // adds a step
+  EXPECT_TRUE(ParseXPath("/r" + Repeat("/a", 255)).ok());  // 256 steps
+  // Predicates count too: each one is a plan operator on the path.
+  ExpectRejectedFast("/r" + Repeat("/a" + Repeat("[1]", 60), 200));
+  ExpectRejectedFast("/r" + Repeat("/a[1]", 128));
 }
 
 }  // namespace

@@ -93,7 +93,7 @@ bool RunBatchQuery(natix::Database* db, natix::storage::NodeId root,
                  query.status().ToString().c_str());
     return false;
   }
-  if ((*query)->result_type() == natix::xpath::ExprType::kNodeSet) {
+  if ((*query)->prepared().result_type() == natix::xpath::ExprType::kNodeSet) {
     auto nodes = (*query)->EvaluateNodes(root);
     if (!nodes.ok()) {
       std::fprintf(stderr, "natixq: %s: %s\n", xpath.c_str(),
@@ -333,14 +333,15 @@ int main(int argc, char** argv) {
   for (const auto& [name, value] : variables) {
     (*query)->SetVariable(name, natix::runtime::Value::String(value));
   }
+  const natix::PreparedQuery& prepared = (*query)->prepared();
 
   if (explain_json) {
-    std::printf("%s", (*query)->ExplainJson().c_str());
+    std::printf("%s", prepared.ExplainJson().c_str());
     return finish();
   }
 
   if (dump_nvm) {
-    const natix::qe::PlanTemplate& plan = (*query)->prepared().plan();
+    const natix::qe::PlanTemplate& plan = prepared.plan();
     if (dump_nvm_which != "after") {
       std::printf("=== nvm before (%zu instructions) ===\n%s",
                   plan.nvm_insns_before(),
@@ -351,7 +352,7 @@ int main(int argc, char** argv) {
                   plan.nvm_insns_after(), plan.nvm_listing_after().c_str());
     }
     std::string rewrites;
-    for (const natix::algebra::RewriteEvent& event : (*query)->rewrites()) {
+    for (const natix::algebra::RewriteEvent& event : prepared.rewrites()) {
       if (event.rule.rfind("nvm:", 0) != 0) continue;
       rewrites += event.rule + ": " + event.target + " (" +
                   event.justification + ")\n";
@@ -363,7 +364,7 @@ int main(int argc, char** argv) {
 
   if (explain) {
     std::string rewrites;
-    for (const natix::algebra::RewriteEvent& event : (*query)->rewrites()) {
+    for (const natix::algebra::RewriteEvent& event : prepared.rewrites()) {
       rewrites += event.rule + ": " + event.target + " (" +
                   event.justification + ")\n";
     }
@@ -373,12 +374,12 @@ int main(int argc, char** argv) {
                 "=== pipeline segments ===\n%s"
                 "=== rewrites ===\n%s"
                 "=== verification ===\n%s\n",
-                (*query)->ExplainLogical().c_str(),
-                (*query)->ExplainPhysical().c_str(),
-                (*query)->ExplainProperties().c_str(),
-                (*query)->ExplainSegments().c_str(),
+                prepared.ExplainLogical().c_str(),
+                prepared.ExplainPhysical().c_str(),
+                prepared.ExplainProperties().c_str(),
+                prepared.ExplainSegments().c_str(),
                 rewrites.c_str(),
-                (*query)->VerificationReport().c_str());
+                prepared.VerificationReport().c_str());
     return finish();
   }
 
@@ -394,7 +395,7 @@ int main(int argc, char** argv) {
   };
 
   int rc = 0;
-  if ((*query)->result_type() == natix::xpath::ExprType::kNodeSet) {
+  if (prepared.result_type() == natix::xpath::ExprType::kNodeSet) {
     auto nodes = (*query)->EvaluateNodes(info->root);
     if (!nodes.ok()) {
       std::fprintf(stderr, "natixq: %s\n",
