@@ -6,7 +6,9 @@
 #include <utility>
 #include <vector>
 
+#include "algebra/operator.h"
 #include "nvm/program.h"
+#include "runtime/node_ops.h"
 #include "runtime/register_file.h"
 
 namespace natix::analysis {
@@ -104,16 +106,49 @@ struct ResourceEffects {
   std::vector<ChildClose> child_close;
 };
 
-/// One node of the physical dataflow model: the register footprint of a
-/// compiled iterator. The code generator records one PhysNode per
-/// iterator it builds; the Layer-2 verifier walks the model, never the
-/// iterators themselves.
+struct PhysNode;
+
+/// A nested sequence-valued subplan evaluated by its host's subscript
+/// (kEvalNested, Sec. 5.2.3) and reduced by an aggregate (Sec. 5.2.5).
+struct NestedSite {
+  std::unique_ptr<PhysNode> plan;
+  /// The register the nested aggregate reads from each plan tuple.
+  runtime::RegisterId input = 0;
+  algebra::AggKind agg = algebra::AggKind::kExists;
+  /// Index into the execution context's nested-plan table: the operand
+  /// of the subscript's kEvalNested instruction.
+  size_t slot = 0;
+};
+
+/// A runtime property-oracle wrapper (qe/property_oracle.h) over one
+/// node's iterator. Recorded only when the plan is prepared with
+/// verification enabled.
+struct OracleSpec {
+  runtime::RegisterId reg = 0;
+  bool check_order = false;
+  bool check_duplicate_free = false;
+  /// The Limit contract: at most this many tuples per Open (0: none).
+  uint64_t max_tuples = 0;
+  std::string label;
+};
+
+/// Marks a node without a subscript program.
+inline constexpr size_t kNoProgram = static_cast<size_t>(-1);
+
+/// One operator of the lowered physical plan. The code generator lowers
+/// the logical plan once, at Prepare; every execution context is then
+/// built by walking these nodes (PlanTemplate::NewContext), and the
+/// Layer-2 and Layer-4 verifiers walk the very same nodes. The register
+/// footprint (reads, writes, row_regs) doubles as the iterator's
+/// constructor arguments; the remaining fields are what construction
+/// needs beyond it.
 struct PhysNode {
   PhysNodeKind kind = PhysNodeKind::kPipeline;
-  /// Diagnostic label, e.g. "UnnestMap[c1@r3]".
+  /// Diagnostic label, e.g. "UnnestMap" or "Map[c1@r3]".
   std::string label;
   /// Registers this iterator reads from each input tuple (subscript
-  /// kLoadAttr operands, context/key/sort attributes).
+  /// kLoadAttr operands, context/key/sort attributes). The operator's own
+  /// operands come first, in constructor order.
   std::vector<runtime::RegisterId> reads;
   /// Registers this iterator writes per output tuple.
   std::vector<runtime::RegisterId> writes;
@@ -123,27 +158,51 @@ struct PhysNode {
   ResourceEffects effects;
   /// Input iterators, in evaluation order.
   std::vector<std::unique_ptr<PhysNode>> children;
-  /// Nested sequence-valued subplans evaluated by this node's subscript
-  /// (kEvalNested), paired with the register the nested aggregate reads.
-  std::vector<std::pair<std::unique_ptr<PhysNode>, runtime::RegisterId>>
-      nested;
+  /// Nested subplans evaluated by this node's subscript.
+  std::vector<NestedSite> nested;
+
+  // -- Iterator construction ----------------------------------------------
+
+  /// The iterator to build.
+  algebra::OpKind op = algebra::OpKind::kSingletonScan;
+  /// UnnestMap: the axis and the node test, its names already resolved
+  /// against the store's name dictionary.
+  runtime::Axis axis = runtime::Axis::kChild;
+  runtime::NodeTest test;
+  /// Aggregate, BinaryGroup: the aggregate function.
+  algebra::AggKind agg = algebra::AggKind::kExists;
+  /// Limit: the tuple cap.
+  uint64_t limit = 0;
+  /// Map: chi^mat, cached per binding of key_regs.
+  bool materialize = false;
+  /// Map^mat cache keys, MemoX memo keys.
+  std::vector<runtime::RegisterId> key_regs;
+  /// Index of the subscript program in PhysicalModel::programs, or
+  /// kNoProgram.
+  size_t program = kNoProgram;
+  /// The EXPLAIN ANALYZE label of the node's stats entry.
+  std::string stats_label;
+  /// Oracle wrappers, innermost first.
+  std::vector<OracleSpec> oracles;
 };
 
 using PhysNodePtr = std::unique_ptr<PhysNode>;
 
-/// The register dataflow of one compiled plan, plus every NVM subscript
-/// program the plan embeds (for the Layer-3 sweep).
+/// One lowered plan: the operator tree, the register file layout, and
+/// the table of NVM subscript programs its nodes index (which Layer 3
+/// verifies and every execution borrows).
 struct PhysicalModel {
   PhysNodePtr root;
   /// Size of the plan-wide register file.
   size_t register_count = 0;
-  /// Registers bound by the execution context before Open (cn/cp0/cs0).
+  /// Registers bound by the execution context before Open, in the order
+  /// cn, cp0, cs0.
   std::vector<runtime::RegisterId> context_regs;
   /// Register the plan's result is read from.
   runtime::RegisterId result_reg = 0;
   /// Size of the plan's nested-iterator table (bounds kEvalNested).
   size_t nested_count = 0;
-  /// Compiled subscript programs with their site labels.
+  /// Optimized subscript programs with their site labels.
   std::vector<std::pair<std::string, nvm::Program>> programs;
 };
 

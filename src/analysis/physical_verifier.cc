@@ -139,14 +139,14 @@ class PhysicalVerifier {
 
     // Nested subscript plans run per tuple at this site and see the same
     // definitions the subscript sees.
-    for (const auto& [nested, input_reg] : node.nested) {
+    for (const NestedSite& site : node.nested) {
       DefSet nested_defs = *defs;
-      NATIX_RETURN_IF_ERROR(Visit(*nested, &nested_defs));
-      NATIX_RETURN_IF_ERROR(CheckBounds(node, input_reg, "nested input"));
-      if (!nested_defs.Has(input_reg)) {
+      NATIX_RETURN_IF_ERROR(Visit(*site.plan, &nested_defs));
+      NATIX_RETURN_IF_ERROR(CheckBounds(node, site.input, "nested input"));
+      if (!nested_defs.Has(site.input)) {
         return Malformed(node,
                          "nested aggregate reads register r" +
-                             std::to_string(input_reg) +
+                             std::to_string(site.input) +
                              " that its plan never writes");
       }
     }

@@ -75,8 +75,9 @@ std::set<std::string> ExecutionContextAttributes();
 // Layer 2: physical register dataflow (model in physical_model.h)
 // ---------------------------------------------------------------------------
 
-/// Verifies the physical dataflow model the code generator records
-/// alongside the iterator tree. Checked invariants:
+/// Verifies the register dataflow of the lowered plan the code generator
+/// keeps in the template, the plan every execution instantiates. Checked
+/// invariants:
 ///   * every register index (reads, writes, row lists) is within the
 ///     register file,
 ///   * every register read is dominated by a write under the open/next

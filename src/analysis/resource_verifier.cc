@@ -46,9 +46,8 @@ bool SubtreeHoldsResources(const PhysNode& node) {
   for (const auto& child : node.children) {
     if (SubtreeHoldsResources(*child)) return true;
   }
-  for (const auto& [nested, reg] : node.nested) {
-    (void)reg;
-    if (SubtreeHoldsResources(*nested)) return true;
+  for (const NestedSite& site : node.nested) {
+    if (SubtreeHoldsResources(*site.plan)) return true;
   }
   return false;
 }
@@ -132,9 +131,8 @@ class ResourceVerifier {
     // Nested subscript plans are opened, drained, and closed inside one
     // subscript evaluation on every path (subscripts.cc), i.e.
     // probe-contained by construction.
-    for (const auto& [nested, reg] : node.nested) {
-      (void)reg;
-      NATIX_RETURN_IF_ERROR(Visit(*nested, /*close_guaranteed=*/true));
+    for (const NestedSite& site : node.nested) {
+      NATIX_RETURN_IF_ERROR(Visit(*site.plan, /*close_guaranteed=*/true));
     }
     return Status::OK();
   }

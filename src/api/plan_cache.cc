@@ -1,5 +1,7 @@
 #include "api/plan_cache.h"
 
+#include <vector>
+
 #include "obs/lock_ledger.h"
 #include "obs/metrics.h"
 
@@ -47,6 +49,9 @@ std::shared_ptr<const PreparedQuery> PlanCache::Lookup(
 void PlanCache::Insert(const std::string& key,
                        std::shared_ptr<const PreparedQuery> plan) {
   if (capacity_ == 0) return;
+  // Declared before the lock: evicted plans are destroyed after it is
+  // released, so tearing down a plan never blocks other lookups.
+  std::vector<std::shared_ptr<const PreparedQuery>> evicted;
   obs::LedgeredMutexLock lock(mutex_, obs::LockClass::kPlanCache);
   auto it = index_.find(key);
   if (it != index_.end()) {
@@ -60,6 +65,7 @@ void PlanCache::Insert(const std::string& key,
   index_[key] = lru_.begin();
   while (lru_.size() > capacity_) {
     index_.erase(lru_.back().first);
+    evicted.push_back(std::move(lru_.back().second));
     lru_.pop_back();
     ++evictions_;
   }

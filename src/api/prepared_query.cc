@@ -69,10 +69,8 @@ StatusOr<std::shared_ptr<const PreparedQuery>> PreparedQuery::Prepare(
 
 StatusOr<std::unique_ptr<PreparedQuery::Execution>>
 PreparedQuery::NewExecution(bool collect_stats) const {
-  NATIX_ASSIGN_OR_RETURN(std::unique_ptr<qe::ExecutionContext> context,
-                         plan_->NewContext(collect_stats));
   return std::unique_ptr<Execution>(
-      new Execution(shared_from_this(), std::move(context)));
+      new Execution(shared_from_this(), plan_->NewContext(collect_stats)));
 }
 
 void PreparedQuery::Execution::SetVariable(const std::string& name,

@@ -40,6 +40,15 @@ struct ExecutionStats {
 /// This is the compile-once / execute-many API: prepare a query once
 /// (or let Database::Prepare serve it from the plan cache) and create
 /// one Execution per thread or call site.
+///
+/// Names are bound at Prepare: element, attribute and processing-
+/// instruction names in node tests resolve against the store's name
+/// dictionary as it stands then, and every Execution reuses that
+/// binding. A name first introduced by a later LoadDocument is unknown
+/// to a query prepared before it, which keeps matching nothing for that
+/// name. Database::LoadDocument therefore empties the plan cache; a
+/// handle held across a load keeps its compile-time binding, and a fresh
+/// Prepare after the load sees the new names.
 class PreparedQuery : public std::enable_shared_from_this<PreparedQuery> {
  public:
   /// Compiles `xpath` for `store` with the given translation strategy.

@@ -10,9 +10,6 @@
 #include "analysis/property_inference.h"
 #include "nvm/assembler.h"
 #include "obs/trace.h"
-#include "qe/exec_context.h"
-#include "qe/operators.h"
-#include "qe/property_oracle.h"
 
 namespace natix::qe {
 
@@ -27,30 +24,42 @@ using analysis::PhysNode;
 using analysis::PhysNodeKind;
 using analysis::PhysNodePtr;
 
-/// Iterator plus the registers its subtree writes (needed by
-/// materializing parents for row snapshots), the node of the Layer-2
-/// dataflow model mirroring the iterator, and the per-operator stats
-/// node (null unless the context is instantiated with stats collection).
-struct BuildResult {
-  IteratorPtr iter;
-  std::set<RegisterId> written;
+/// A lowered subtree: its root node and the registers the subtree
+/// writes (materializing parents snapshot exactly these).
+struct Lowered {
   PhysNodePtr node;
-  obs::OpStats* stats = nullptr;
+  std::set<RegisterId> written;
 };
 
-/// Starts a dataflow-model node for the iterator being built.
-PhysNodePtr MakeNode(PhysNodeKind kind, std::string label) {
+PhysNodePtr MakeNode(PhysNodeKind kind, OpKind op, std::string label) {
   auto node = std::make_unique<PhysNode>();
   node->kind = kind;
+  node->op = op;
   node->label = std::move(label);
   return node;
+}
+
+/// Hangs `child` under `node`: the shape of every unary operator.
+Lowered Pipe(PhysNodePtr node, Lowered child) {
+  node->children.push_back(std::move(child.node));
+  child.node = std::move(node);
+  return child;
+}
+
+/// Hangs both inputs under `node`; the output carries both sides' writes.
+Lowered Join(PhysNodePtr node, Lowered left, Lowered right) {
+  node->children.push_back(std::move(left.node));
+  node->children.push_back(std::move(right.node));
+  left.written.insert(right.written.begin(), right.written.end());
+  left.node = std::move(node);
+  return left;
 }
 
 using analysis::ChildClose;
 using analysis::SpoolKind;
 
 /// Declares the Layer-4 resource behaviour of the iterator a node
-/// models. The declarations must mirror the implementations in src/qe/
+/// stands for. The declarations must mirror the implementations in src/qe/
 /// (operators.h and the *_ops.cc files); the resource verifier proves
 /// the plan-wide consequences, and the execution context's resource
 /// ledger cross-checks them at runtime.
@@ -166,159 +175,92 @@ class PhysicalPrinter {
   std::string out_;
 };
 
-/// Declared a friend of PlanTemplate and ExecutionContext; lives in the
-/// internal namespace so the friendship can be expressed across
-/// translation units. One CodegenImpl lowers one template into one
-/// context: Prepare runs it once against a scratch context (fixing the
-/// register assignment, rendering the physical plan and verifying);
-/// NewContext runs it once per instantiation.
+/// Declared a friend of PlanTemplate. Lowers the template's logical
+/// plan into its physical plan (analysis::PhysicalModel), once, at
+/// Prepare: the attribute manager assigns registers, node-test names are
+/// resolved against the store's dictionary, every subscript is compiled
+/// to NVM code and optimized, and the result is rendered and verified.
+/// Every execution context is later built from the lowered plan alone.
 class CodegenImpl {
  public:
-  /// `prepare` additionally collects the compiled NVM programs for the
-  /// Layer-3 verification sweep (instantiation skips the copies).
-  CodegenImpl(const PlanTemplate& tmpl, ExecutionContext* ctx, bool prepare)
-      : tmpl_(tmpl),
-        ctx_(ctx),
-        store_(tmpl.store_),
-        props_(tmpl.props_),
-        prepare_(prepare) {}
+  CodegenImpl(PlanTemplate* tmpl, const analysis::PropertyMap& props)
+      : tmpl_(*tmpl),
+        model_(tmpl->lowered_),
+        store_(tmpl->store_),
+        props_(props) {}
 
-  Status Instantiate(bool collect_stats) {
+  /// Lowers the plan into the template, renders the physical plan and
+  /// runs the static verifier (Layers 1-4) over the lowered plan.
+  /// Violations fail compilation: a malformed plan must never reach
+  /// execution.
+  Status Run() {
     const translate::TranslationResult& translation = tmpl_.translation_;
-    ctx_->template_ = &tmpl_;
-    ctx_->eval_ctx.store = store_;
-    state_ = ctx_;
-    // The runtime half of Layer 4: the resource ledger cross-checks the
-    // static pin-balance / spool-containment proof on every execution,
-    // abort paths included.
-    if (analysis::VerificationEnabled()) ctx_->ArmResourceLedger();
-    if (collect_stats) {
-      ctx_->stats_ = std::make_unique<obs::QueryStats>();
-      qstats_ = ctx_->stats_.get();
-    }
-
     // Reserved execution-context attributes (the paper's top-level map).
-    ctx_->cn_reg_ = Bind(translate::kContextNodeAttr);
-    ctx_->cp0_reg_ = Bind(translate::kContextPositionAttr);
-    ctx_->cs0_reg_ = Bind(translate::kContextSizeAttr);
-
-    NATIX_ASSIGN_OR_RETURN(BuildResult root, Build(*translation.plan));
-    NATIX_ASSIGN_OR_RETURN(ctx_->result_reg_,
+    model_.context_regs = {Bind(translate::kContextNodeAttr),
+                           Bind(translate::kContextPositionAttr),
+                           Bind(translate::kContextSizeAttr)};
+    NATIX_ASSIGN_OR_RETURN(Lowered root, Lower(*translation.plan));
+    NATIX_ASSIGN_OR_RETURN(model_.result_reg,
                            Resolve(translation.result_attr));
-    if (qstats_ != nullptr) qstats_->set_root(root.stats);
 
-    // Under verification, the oracle also guards the root stream's
-    // statically inferred claims across the whole execution (operators
-    // inside dependent branches only assert per re-evaluation).
     analysis::AttrProperties result_props;
     if (auto it = props_.find(translation.plan.get()); it != props_.end()) {
       result_props = it->second.Lookup(translation.result_attr);
     }
-    if (analysis::VerificationEnabled() &&
-        translation.type == xpath::ExprType::kNodeSet &&
-        (result_props.order == analysis::OrderState::kDocOrdered ||
-         result_props.duplicate_free)) {
-      root.iter = std::make_unique<PropertyOracleIterator>(
-          state_, std::move(root.iter), ctx_->result_reg_,
-          result_props.order == analysis::OrderState::kDocOrdered,
-          result_props.duplicate_free,
-          "result " + translation.result_attr);
+    const bool node_set = translation.type == xpath::ExprType::kNodeSet;
+    const bool ordered =
+        result_props.order == analysis::OrderState::kDocOrdered;
+    // Result-order guarantee: when the root stream is provably in
+    // (non-strict) document order on the result attribute, the API skips
+    // its final result sort.
+    tmpl_.result_document_ordered_ = node_set && ordered;
+    // Under verification, the oracle also guards the root stream's
+    // statically inferred claims across the whole execution (operators
+    // inside dependent branches only assert per re-evaluation).
+    if (analysis::VerificationEnabled() && node_set &&
+        (ordered || result_props.duplicate_free)) {
+      root.node->oracles.push_back({model_.result_reg, ordered,
+                                    result_props.duplicate_free, 0,
+                                    "result " + translation.result_attr});
     }
+    model_.root = std::move(root.node);
+    model_.register_count = next_register_;
+    model_.nested_count = nested_count_;
 
-    ctx_->root_ = std::move(root.iter);
-    ctx_->result_type_ = translation.type;
-    ctx_->registers.Resize(next_register_);
-    root_node_ = std::move(root.node);
-    return Status::OK();
-  }
-
-  /// Prepare-time epilogue: fixes the template's register count, renders
-  /// the physical plan and runs the static verifier (Layers 1-3) over
-  /// the validation lowering. Violations fail compilation: a malformed
-  /// plan must never reach execution.
-  Status FinishPrepare(PlanTemplate* tmpl) {
-    const translate::TranslationResult& translation = tmpl->translation_;
-    tmpl->register_count_ = next_register_;
-    tmpl->physical_plan_ =
+    tmpl_.physical_plan_ =
         "registers: " + std::to_string(next_register_) + ", nested plans: " +
-        std::to_string(ctx_->nested_.size()) + "\n" +
+        std::to_string(nested_count_) + "\n" +
         PhysicalPrinter(attribute_map_).Render(*translation.plan);
-    tmpl->nvm_programs_ = std::move(optimized_programs_);
-    tmpl->nvm_listing_before_ = std::move(nvm_listing_before_);
-    tmpl->nvm_listing_after_ = std::move(nvm_listing_after_);
-    tmpl->nvm_insns_before_ = nvm_insns_before_;
-    tmpl->nvm_insns_after_ = nvm_insns_after_;
-    tmpl->rewrites_.insert(tmpl->rewrites_.end(), nvm_rewrites_.begin(),
+    tmpl_.rewrites_.insert(tmpl_.rewrites_.end(), nvm_rewrites_.begin(),
                            nvm_rewrites_.end());
 
     obs::ScopedSpan verify_span(
         "compile/verify",
         analysis::VerificationEnabled() ? "layers 1-4" : "skipped");
-    if (analysis::VerificationEnabled()) {
-      analysis::PhysicalModel model;
-      model.root = std::move(root_node_);
-      model.register_count = next_register_;
-      model.context_regs = {ctx_->cn_reg_, ctx_->cp0_reg_, ctx_->cs0_reg_};
-      model.result_reg = ctx_->result_reg_;
-      model.nested_count = ctx_->nested_.size();
-      model.programs = std::move(programs_);
-      NATIX_RETURN_IF_ERROR(analysis::VerifyTranslation(translation));
-      NATIX_RETURN_IF_ERROR(analysis::VerifyPhysical(model));
-      NATIX_RETURN_IF_ERROR(analysis::VerifyResources(model));
-      tmpl->verification_ =
-          "VERIFIED (logical: " +
-          std::to_string(algebra::PlanSize(*translation.plan)) +
-          " operators; physical: " + std::to_string(next_register_) +
-          " registers; nvm: " + std::to_string(model.programs.size()) +
-          " subscript programs; properties: " +
-          std::to_string(props_.size()) + " operators annotated, " +
-          std::to_string(translation.rewrites.size()) +
-          " property-justified rewrites; nvm optimizer: " +
-          std::to_string(nvm_rewrites_.size()) +
-          " bytecode rewrites; resources: pin-balanced, "
-          "close-on-all-paths)";
-    } else {
-      tmpl->verification_ =
+    if (!analysis::VerificationEnabled()) {
+      tmpl_.verification_ =
           "not verified (release build; enable with --verify-plans)";
+      return Status::OK();
     }
+    NATIX_RETURN_IF_ERROR(analysis::VerifyTranslation(translation));
+    NATIX_RETURN_IF_ERROR(analysis::VerifyPhysical(model_));
+    NATIX_RETURN_IF_ERROR(analysis::VerifyResources(model_));
+    tmpl_.verification_ =
+        "VERIFIED (logical: " +
+        std::to_string(algebra::PlanSize(*translation.plan)) +
+        " operators; physical: " + std::to_string(next_register_) +
+        " registers; nvm: " + std::to_string(model_.programs.size()) +
+        " subscript programs; properties: " + std::to_string(props_.size()) +
+        " operators annotated, " +
+        std::to_string(translation.rewrites.size()) +
+        " property-justified rewrites; nvm optimizer: " +
+        std::to_string(nvm_rewrites_.size()) +
+        " bytecode rewrites; resources: pin-balanced, "
+        "close-on-all-paths)";
     return Status::OK();
   }
 
-  size_t register_count() const { return next_register_; }
-
  private:
-  /// Allocates a stats node in the context's collector; null when stats
-  /// collection is off, so every call site stays branch-free.
-  obs::OpStats* NewStats(std::string label) {
-    if (qstats_ == nullptr) return nullptr;
-    obs::OpStats* node = qstats_->NewOp(std::move(label));
-    node->buffer = store_->buffer_manager();
-    return node;
-  }
-
-  /// Links children and binds the node to its iterator. Null children
-  /// (structural no-ops like register-alias maps) are skipped. Iterator
-  /// children precede any NestedAgg nodes the subscript registrar
-  /// already hung off the node.
-  obs::OpStats* AttachStats(obs::OpStats* node, Iterator* iter,
-                            std::initializer_list<obs::OpStats*> children) {
-    if (node == nullptr) return nullptr;
-    size_t at = 0;
-    for (obs::OpStats* c : children) {
-      if (c == nullptr) continue;
-      node->children.insert(node->children.begin() + at, c);
-      ++at;
-    }
-    iter->BindStats(node);
-    return node;
-  }
-
-  /// One-shot: allocate + link + bind (operators without subscripts).
-  obs::OpStats* Observe(std::string label, Iterator* iter,
-                        std::initializer_list<obs::OpStats*> children) {
-    return AttachStats(NewStats(std::move(label)), iter, children);
-  }
-
   /// Binds a fresh attribute name to a new register (or returns the
   /// existing register when re-bound, e.g. the shared output attribute of
   /// union branches).
@@ -347,8 +289,8 @@ class CodegenImpl {
     return it->second;
   }
 
-  StatusOr<std::vector<RegisterId>> ResolveAll(
-      const std::set<std::string>& names) {
+  template <typename Names>
+  StatusOr<std::vector<RegisterId>> ResolveAll(const Names& names) {
     std::vector<RegisterId> regs;
     regs.reserve(names.size());
     for (const std::string& name : names) {
@@ -358,67 +300,40 @@ class CodegenImpl {
     return regs;
   }
 
-  /// Compiles a scalar subscript for the iterator modeled by `host`,
-  /// recording the compiled program's tuple-register reads and nested
-  /// subplans in the dataflow model. Nested subplans hang their
-  /// aggregate stats node off `host_stats` (null: collection off).
-  StatusOr<SubscriptPtr> CompileSubscript(const Scalar& scalar,
-                                          PhysNode* host,
-                                          obs::OpStats* host_stats) {
+  /// Compiles a scalar subscript of `host` into the program table,
+  /// lowering its nested subplans into host->nested. The program's
+  /// tuple-register reads join host->reads.
+  Status CompileSubscript(const Scalar& scalar, PhysNode* host) {
     nvm::AttrResolver resolver =
         [this](const std::string& name) -> StatusOr<RegisterId> {
       return Resolve(name);
     };
     nvm::NestedRegistrar registrar =
-        [this, host, host_stats](const Scalar& nested) -> StatusOr<size_t> {
-      NATIX_ASSIGN_OR_RETURN(BuildResult sub, Build(*nested.plan));
-      NATIX_ASSIGN_OR_RETURN(RegisterId input, Resolve(nested.input_attr));
-      auto entry = std::make_unique<NestedPlan>();
-      entry->iter = std::move(sub.iter);
-      entry->agg = nested.agg;
-      entry->input_reg = input;
-      if (host_stats != nullptr) {
-        obs::OpStats* agg = NewStats(
-            std::string("NestedAgg[") +
-            std::string(algebra::AggKindName(nested.agg)) + "]");
-        agg->nested = true;
-        if (sub.stats != nullptr) agg->children.push_back(sub.stats);
-        entry->stats = agg;
-        host_stats->children.push_back(agg);
-      }
-      ctx_->nested_.push_back(std::move(entry));
-      host->nested.emplace_back(std::move(sub.node), input);
-      return ctx_->nested_.size() - 1;
+        [this, host](const Scalar& nested) -> StatusOr<size_t> {
+      NATIX_ASSIGN_OR_RETURN(Lowered sub, Lower(*nested.plan));
+      analysis::NestedSite site;
+      NATIX_ASSIGN_OR_RETURN(site.input, Resolve(nested.input_attr));
+      site.plan = std::move(sub.node);
+      site.agg = nested.agg;
+      // Claimed after the subplan is lowered, so slots of plans nested
+      // inside it come first.
+      site.slot = nested_count_++;
+      host->nested.push_back(std::move(site));
+      return host->nested.back().slot;
     };
     NATIX_ASSIGN_OR_RETURN(nvm::Program program,
                            nvm::CompileScalar(scalar, resolver, registrar));
-    // Claimed after CompileScalar so subscripts inside nested plans
-    // (compiled during the registrar's recursion) take earlier indices:
-    // compile order is deterministic across prepare and instantiation.
-    const size_t index = subscript_index_++;
-    if (prepare_) {
-      nvm_listing_before_ += "== " + host->label + " ==\n" +
-                             analysis::RenderNvmProgram(program);
-      nvm_insns_before_ += program.code.size();
-      if (tmpl_.translation_.optimize_nvm) {
-        NATIX_RETURN_IF_ERROR(analysis::OptimizeNvmProgram(
-            &program, host->label, next_register_, ctx_->nested_.size(),
-            &nvm_rewrites_));
-      }
-      nvm_listing_after_ += "== " + host->label + " ==\n" +
-                            analysis::RenderNvmProgram(program);
-      nvm_insns_after_ += program.code.size();
-      optimized_programs_.push_back(program);
-    } else {
-      // Instantiation replays the prepare-time result: the optimizer and
-      // its per-pass verification run once per template, not per context.
-      if (index >= tmpl_.nvm_programs_.size()) {
-        return Status::Internal(
-            "plan instantiation diverged from the prepared template "
-            "(subscript count)");
-      }
-      program = tmpl_.nvm_programs_[index];
+    tmpl_.nvm_listing_before_ += "== " + host->label + " ==\n" +
+                                 analysis::RenderNvmProgram(program);
+    tmpl_.nvm_insns_before_ += program.code.size();
+    if (tmpl_.translation_.optimize_nvm) {
+      NATIX_RETURN_IF_ERROR(analysis::OptimizeNvmProgram(
+          &program, host->label, next_register_, nested_count_,
+          &nvm_rewrites_));
     }
+    tmpl_.nvm_listing_after_ += "== " + host->label + " ==\n" +
+                                analysis::RenderNvmProgram(program);
+    tmpl_.nvm_insns_after_ += program.code.size();
     // The program's tuple-register operands are exactly the plan
     // registers the subscript reads per tuple (the fused kCmpAttrConst
     // reads its tuple register directly).
@@ -428,39 +343,28 @@ class CodegenImpl {
         host->reads.push_back(ins.b);
       }
     }
-    if (prepare_) programs_.emplace_back(host->label, program);
-    return std::make_unique<Subscript>(std::move(program), state_,
-                                       &ctx_->nested_);
+    host->program = model_.programs.size();
+    model_.programs.emplace_back(host->label, std::move(program));
+    return Status::OK();
   }
 
-  StatusOr<runtime::NodeTest> ResolveNodeTest(const xpath::AstNodeTest& t) {
+  runtime::NodeTest ResolveNodeTest(const xpath::AstNodeTest& t) const {
+    using Ast = xpath::AstNodeTest::Kind;
+    using Kind = runtime::NodeTest::Kind;
     runtime::NodeTest test;
     switch (t.kind) {
-      case xpath::AstNodeTest::Kind::kName:
-        test.kind = runtime::NodeTest::Kind::kName;
-        // A name absent from the dictionary occurs nowhere in the store:
-        // the invalid id matches no node, which is exactly right.
-        test.name_id = store_->names()->Lookup(t.name);
-        break;
-      case xpath::AstNodeTest::Kind::kAnyName:
-        test.kind = runtime::NodeTest::Kind::kAnyName;
-        break;
-      case xpath::AstNodeTest::Kind::kText:
-        test.kind = runtime::NodeTest::Kind::kText;
-        break;
-      case xpath::AstNodeTest::Kind::kComment:
-        test.kind = runtime::NodeTest::Kind::kComment;
-        break;
-      case xpath::AstNodeTest::Kind::kPi:
-        test.kind = runtime::NodeTest::Kind::kPi;
-        break;
-      case xpath::AstNodeTest::Kind::kPiTarget:
-        test.kind = runtime::NodeTest::Kind::kPiTarget;
-        test.name_id = store_->names()->Lookup(t.name);
-        break;
-      case xpath::AstNodeTest::Kind::kAnyKind:
-        test.kind = runtime::NodeTest::Kind::kAnyKind;
-        break;
+      case Ast::kName: test.kind = Kind::kName; break;
+      case Ast::kAnyName: test.kind = Kind::kAnyName; break;
+      case Ast::kText: test.kind = Kind::kText; break;
+      case Ast::kComment: test.kind = Kind::kComment; break;
+      case Ast::kPi: test.kind = Kind::kPi; break;
+      case Ast::kPiTarget: test.kind = Kind::kPiTarget; break;
+      case Ast::kAnyKind: test.kind = Kind::kAnyKind; break;
+    }
+    // A name absent from the dictionary occurs nowhere in the store: the
+    // invalid id matches no node, which is exactly right.
+    if (t.kind == Ast::kName || t.kind == Ast::kPiTarget) {
+      test.name_id = store_->names()->Lookup(t.name);
     }
     return test;
   }
@@ -474,14 +378,14 @@ class CodegenImpl {
     return " " + analysis::RenderProperties(it->second, op.attr);
   }
 
-  /// Wraps stream-producing operators in the runtime property oracle
-  /// while verification is on: the wrapper asserts the static order /
+  /// Under verification, records a runtime property-oracle wrapper over
+  /// stream-producing operators: it asserts the static order /
   /// duplicate-freedom claims of op.attr against the actual tuples.
-  /// Transparent otherwise: no stats node, no register writes.
-  void WrapOracle(const Operator& op, BuildResult* result) {
+  /// Transparent: no stats node, no register writes.
+  void AddOracle(const Operator& op, PhysNode* node) {
     if (!analysis::VerificationEnabled()) return;
     if (op.kind == OpKind::kLimit) {
-      WrapLimitOracle(op, result);
+      AddLimitOracle(op, node);
       return;
     }
     switch (op.kind) {
@@ -503,9 +407,8 @@ class CodegenImpl {
     if (!check_order && !check_dup) return;
     StatusOr<RegisterId> reg = Resolve(op.attr);
     if (!reg.ok()) return;
-    result->iter = std::make_unique<PropertyOracleIterator>(
-        state_, std::move(result->iter), *reg, check_order, check_dup,
-        analysis::OperatorSummary(op) + PropTag(op));
+    node->oracles.push_back({*reg, check_order, check_dup, 0,
+                             analysis::OperatorSummary(op) + PropTag(op)});
   }
 
   /// The Limit contract: at most op.limit tuples per Open, and the
@@ -514,35 +417,19 @@ class CodegenImpl {
   /// stream attribute produced below it (descending through the
   /// attribute-transparent operators); the tuple bound needs no
   /// register at all.
-  void WrapLimitOracle(const Operator& op, BuildResult* result) {
+  void AddLimitOracle(const Operator& op, PhysNode* node) {
     const Operator* p = op.children[0].get();
-    while (true) {
-      switch (p->kind) {
-        case OpKind::kSelect:
-        case OpKind::kCounter:
-        case OpKind::kTmpCs:
-        case OpKind::kLimit:
-        case OpKind::kMap:
-        case OpKind::kProject:
-        case OpKind::kMemoX:
-          p = p->children[0].get();
-          continue;
-        default:
-          break;
-      }
-      break;
+    while (p->kind == OpKind::kSelect || p->kind == OpKind::kCounter ||
+           p->kind == OpKind::kTmpCs || p->kind == OpKind::kLimit ||
+           p->kind == OpKind::kMap || p->kind == OpKind::kProject ||
+           p->kind == OpKind::kMemoX) {
+      p = p->children[0].get();
     }
     std::string stream_attr;
-    switch (p->kind) {
-      case OpKind::kUnnestMap:
-      case OpKind::kUnnest:
-      case OpKind::kIdDeref:
-      case OpKind::kDupElim:
-      case OpKind::kSort:
-        stream_attr = p->attr;
-        break;
-      default:
-        break;
+    if (p->kind == OpKind::kUnnestMap || p->kind == OpKind::kUnnest ||
+        p->kind == OpKind::kIdDeref || p->kind == OpKind::kDupElim ||
+        p->kind == OpKind::kSort) {
+      stream_attr = p->attr;
     }
     bool check_order = false;
     RegisterId reg = 0;
@@ -556,454 +443,329 @@ class CodegenImpl {
         reg = *resolved;
       }
     }
-    auto oracle = std::make_unique<PropertyOracleIterator>(
-        state_, std::move(result->iter), reg, check_order,
-        /*check_duplicate_free=*/false,
-        analysis::OperatorSummary(op) + PropTag(op));
-    oracle->set_max_tuples(op.limit);
-    result->iter = std::move(oracle);
+    node->oracles.push_back({reg, check_order,
+                             /*check_duplicate_free=*/false, op.limit,
+                             analysis::OperatorSummary(op) + PropTag(op)});
   }
 
-  StatusOr<BuildResult> Build(const Operator& op) {
-    NATIX_ASSIGN_OR_RETURN(BuildResult result, BuildOp(op));
-    WrapOracle(op, &result);
-    return result;
+  /// Lowers `op` with its inputs. Inputs lower first, in child order;
+  /// then the operator's own function binds its registers and builds its
+  /// node. Only this small frame sits on the stack once per plan level.
+  StatusOr<Lowered> Lower(const Operator& op) {
+    // Logical only: registers are not reclaimed, so projection needs no
+    // runtime work (and no node).
+    if (op.kind == OpKind::kProject) return Lower(*op.children[0]);
+    std::vector<Lowered> in;
+    in.reserve(op.children.size());
+    for (const algebra::OpPtr& child : op.children) {
+      NATIX_ASSIGN_OR_RETURN(Lowered lowered, Lower(*child));
+      in.push_back(std::move(lowered));
+    }
+    NATIX_ASSIGN_OR_RETURN(Lowered out, LowerOp(op, std::move(in)));
+    AddOracle(op, out.node.get());
+    return out;
   }
 
-  StatusOr<BuildResult> BuildOp(const Operator& op) {
+  StatusOr<Lowered> LowerOp(const Operator& op, std::vector<Lowered> in) {
     switch (op.kind) {
-      case OpKind::kSingletonScan: {
-        BuildResult result;
-        result.iter = std::make_unique<SingletonScanIterator>();
-        result.node = MakeNode(PhysNodeKind::kLeaf, "SingletonScan");
-        result.stats = Observe("SingletonScan", result.iter.get(), {});
-        return result;
-      }
-      case OpKind::kSelect: {
-        NATIX_ASSIGN_OR_RETURN(BuildResult child, Build(*op.children[0]));
-        PhysNodePtr node = MakeNode(PhysNodeKind::kPipeline, "Select");
-        Effects(node.get(), {ChildClose::kOnClose});
-        obs::OpStats* stats =
-            NewStats("Select[" + op.scalar->ToString() + "]");
-        NATIX_ASSIGN_OR_RETURN(
-            SubscriptPtr predicate,
-            CompileSubscript(*op.scalar, node.get(), stats));
-        child.iter = std::make_unique<SelectIterator>(std::move(child.iter),
-                                                      std::move(predicate));
-        child.stats = AttachStats(stats, child.iter.get(), {child.stats});
-        node->children.push_back(std::move(child.node));
-        child.node = std::move(node);
-        return child;
-      }
-      case OpKind::kMap: {
-        NATIX_ASSIGN_OR_RETURN(BuildResult child, Build(*op.children[0]));
-        // Attribute-manager fast path: a pure rename emits no code.
-        if (op.scalar->kind == algebra::ScalarKind::kAttrRef &&
-            !op.materialize) {
-          NATIX_ASSIGN_OR_RETURN(RegisterId source,
-                                 Resolve(op.scalar->name));
-          if (Alias(op.attr, source)) {
-            child.written.insert(source);
-            return child;
-          }
-          // Already bound elsewhere (e.g. union branches sharing one
-          // output attribute): fall through to a real copy.
-        }
-        RegisterId out = Bind(op.attr);
-        PhysNodePtr node =
-            MakeNode(PhysNodeKind::kPipeline,
-                     "Map[" + op.attr + "@r" + std::to_string(out) + "]");
-        // chi^mat keeps a keyed result cache that intentionally outlives
-        // Open/Close cycles within one execution context.
-        Effects(node.get(), {ChildClose::kOnClose},
-                op.materialize ? SpoolKind::kMemo : SpoolKind::kNone);
-        obs::OpStats* stats = NewStats(
-            std::string("Map") + (op.materialize ? "^mat" : "") + "[" +
-            op.attr + " := " + op.scalar->ToString() + "]" + PropTag(op));
-        std::vector<RegisterId> key_regs;
-        if (op.materialize) {
-          NATIX_ASSIGN_OR_RETURN(
-              key_regs,
-              ResolveAll(algebra::ScalarFreeAttributes(*op.scalar)));
-          node->reads.insert(node->reads.end(), key_regs.begin(),
-                             key_regs.end());
-        }
-        NATIX_ASSIGN_OR_RETURN(
-            SubscriptPtr subscript,
-            CompileSubscript(*op.scalar, node.get(), stats));
-        child.iter = std::make_unique<MapIterator>(
-            state_, std::move(child.iter), std::move(subscript), out,
-            op.materialize, std::move(key_regs));
-        child.stats = AttachStats(stats, child.iter.get(), {child.stats});
-        child.written.insert(out);
-        node->writes.push_back(out);
-        node->children.push_back(std::move(child.node));
-        child.node = std::move(node);
-        return child;
-      }
-      case OpKind::kCounter: {
-        NATIX_ASSIGN_OR_RETURN(BuildResult child, Build(*op.children[0]));
-        RegisterId out = Bind(op.attr);
-        PhysNodePtr node = MakeNode(PhysNodeKind::kPipeline, "Counter");
-        Effects(node.get(), {ChildClose::kOnClose});
-        std::optional<RegisterId> reset;
-        if (!op.ctx_attr.empty()) {
-          NATIX_ASSIGN_OR_RETURN(RegisterId reg, Resolve(op.ctx_attr));
-          reset = reg;
-          node->reads.push_back(reg);
-        }
-        child.iter = std::make_unique<CounterIterator>(
-            state_, std::move(child.iter), out, reset);
-        child.stats = Observe(
-            "Counter[" + op.attr +
-                (op.ctx_attr.empty() ? "" : ", reset on " + op.ctx_attr) +
-                "]",
-            child.iter.get(), {child.stats});
-        child.written.insert(out);
-        node->writes.push_back(out);
-        node->children.push_back(std::move(child.node));
-        child.node = std::move(node);
-        return child;
-      }
-      case OpKind::kUnnestMap: {
-        NATIX_ASSIGN_OR_RETURN(BuildResult child, Build(*op.children[0]));
-        NATIX_ASSIGN_OR_RETURN(RegisterId ctx, Resolve(op.ctx_attr));
-        RegisterId out = Bind(op.attr);
-        NATIX_ASSIGN_OR_RETURN(runtime::NodeTest test,
-                               ResolveNodeTest(op.test));
-        child.iter = std::make_unique<UnnestMapIterator>(
-            state_, std::move(child.iter), ctx, out, op.axis, test);
-        child.stats = Observe("UnnestMap[" + op.attr + " := " +
-                                  op.ctx_attr + "/" +
-                                  runtime::AxisName(op.axis) +
-                                  "::" + op.test.ToString() + "]" +
-                                  PropTag(op),
-                              child.iter.get(), {child.stats});
-        child.written.insert(out);
-        PhysNodePtr node = MakeNode(PhysNodeKind::kPipeline, "UnnestMap");
-        // The axis cursor pins pages between Next calls while active;
-        // Close drops it (pin balance on early exit).
-        Effects(node.get(), {ChildClose::kOnClose}, SpoolKind::kNone,
-                /*spool_released_on_close=*/false, /*holds_cursor=*/true,
-                /*cursor_released_on_close=*/true);
-        node->reads.push_back(ctx);
-        node->writes.push_back(out);
-        node->children.push_back(std::move(child.node));
-        child.node = std::move(node);
-        return child;
-      }
+      case OpKind::kSingletonScan: return LowerScan();
+      case OpKind::kSelect: return LowerSelect(op, std::move(in[0]));
+      case OpKind::kMap: return LowerMap(op, std::move(in[0]));
+      case OpKind::kCounter: return LowerCounter(op, std::move(in[0]));
+      case OpKind::kUnnestMap: return LowerUnnestMap(op, std::move(in[0]));
       case OpKind::kDJoin:
-      case OpKind::kCross: {
-        NATIX_ASSIGN_OR_RETURN(BuildResult left, Build(*op.children[0]));
-        NATIX_ASSIGN_OR_RETURN(BuildResult right, Build(*op.children[1]));
-        BuildResult result;
-        result.iter = std::make_unique<DJoinIterator>(std::move(left.iter),
-                                                      std::move(right.iter));
-        result.stats =
-            Observe(op.kind == OpKind::kDJoin ? "DJoin" : "Cross",
-                    result.iter.get(), {left.stats, right.stats});
-        result.written = std::move(left.written);
-        result.written.insert(right.written.begin(), right.written.end());
-        result.node = MakeNode(PhysNodeKind::kDependent,
-                               op.kind == OpKind::kDJoin ? "DJoin" : "Cross");
-        Effects(result.node.get(),
-                {ChildClose::kOnClose, ChildClose::kOnClose});
-        result.node->children.push_back(std::move(left.node));
-        result.node->children.push_back(std::move(right.node));
-        return result;
-      }
+      case OpKind::kCross:
+        return LowerDJoin(op, std::move(in[0]), std::move(in[1]));
       case OpKind::kSemiJoin:
-      case OpKind::kAntiJoin: {
-        NATIX_ASSIGN_OR_RETURN(BuildResult left, Build(*op.children[0]));
-        NATIX_ASSIGN_OR_RETURN(BuildResult right, Build(*op.children[1]));
-        PhysNodePtr node = MakeNode(
-            PhysNodeKind::kDependentLeft,
-            op.kind == OpKind::kSemiJoin ? "SemiJoin" : "AntiJoin");
-        // The probe side is opened and closed inside every Next call,
-        // including error paths — never open across calls.
-        Effects(node.get(),
-                {ChildClose::kOnClose, ChildClose::kProbeContained});
-        obs::OpStats* stats = NewStats(
-            std::string(op.kind == OpKind::kSemiJoin ? "SemiJoin"
-                                                     : "AntiJoin") +
-            "[" + op.scalar->ToString() + "]");
-        NATIX_ASSIGN_OR_RETURN(
-            SubscriptPtr predicate,
-            CompileSubscript(*op.scalar, node.get(), stats));
-        BuildResult result;
-        result.iter = std::make_unique<SemiJoinIterator>(
-            op.kind == OpKind::kSemiJoin ? SemiJoinIterator::Mode::kSemi
-                                         : SemiJoinIterator::Mode::kAnti,
-            std::move(left.iter), std::move(right.iter),
-            std::move(predicate));
-        result.stats = AttachStats(stats, result.iter.get(),
-                                   {left.stats, right.stats});
-        result.written = std::move(left.written);
-        result.written.insert(right.written.begin(), right.written.end());
-        node->children.push_back(std::move(left.node));
-        node->children.push_back(std::move(right.node));
-        result.node = std::move(node);
-        return result;
-      }
-      case OpKind::kConcat: {
-        BuildResult result;
-        result.node = MakeNode(PhysNodeKind::kConcat, "Concat");
-        std::vector<IteratorPtr> children;
-        std::vector<obs::OpStats*> child_stats;
-        for (const algebra::OpPtr& c : op.children) {
-          NATIX_ASSIGN_OR_RETURN(BuildResult child, Build(*c));
-          children.push_back(std::move(child.iter));
-          if (child.stats != nullptr) child_stats.push_back(child.stats);
-          result.written.insert(child.written.begin(), child.written.end());
-          result.node->children.push_back(std::move(child.node));
-        }
-        result.iter = std::make_unique<ConcatIterator>(std::move(children));
-        // Branches are opened lazily and each is closed before the next
-        // opens; Close finds at most the current branch open.
-        Effects(result.node.get(),
-                std::vector<ChildClose>(result.node->children.size(),
-                                        ChildClose::kOnClose));
-        result.stats = Observe("Concat", result.iter.get(), {});
-        if (result.stats != nullptr) result.stats->children = child_stats;
-        return result;
-      }
-      case OpKind::kDupElim: {
-        NATIX_ASSIGN_OR_RETURN(BuildResult child, Build(*op.children[0]));
-        NATIX_ASSIGN_OR_RETURN(RegisterId attr, Resolve(op.attr));
-        child.iter = std::make_unique<DupElimIterator>(
-            state_, std::move(child.iter), attr);
-        child.stats = Observe("DupElim[" + op.attr + "]" + PropTag(op),
-                              child.iter.get(), {child.stats});
-        PhysNodePtr node = MakeNode(PhysNodeKind::kPipeline, "DupElim");
-        Effects(node.get(), {ChildClose::kOnClose}, SpoolKind::kFull,
-                /*spool_released_on_close=*/true);
-        node->reads.push_back(attr);
-        node->children.push_back(std::move(child.node));
-        child.node = std::move(node);
-        return child;
-      }
-      case OpKind::kProject:
-        // Logical only: registers are not reclaimed, so projection needs
-        // no runtime work (and no dataflow-model node).
-        return Build(*op.children[0]);
-      case OpKind::kSort: {
-        NATIX_ASSIGN_OR_RETURN(BuildResult child, Build(*op.children[0]));
-        NATIX_ASSIGN_OR_RETURN(RegisterId attr, Resolve(op.attr));
-        std::vector<RegisterId> rows(child.written.begin(),
-                                     child.written.end());
-        PhysNodePtr node = MakeNode(PhysNodeKind::kPipeline, "Sort");
-        Effects(node.get(), {ChildClose::kOnClose}, SpoolKind::kFull,
-                /*spool_released_on_close=*/true);
-        node->reads.push_back(attr);
-        node->row_regs = rows;
-        child.iter = std::make_unique<SortIterator>(
-            state_, std::move(child.iter), attr, std::move(rows));
-        child.stats = Observe("Sort[" + op.attr + "]" + PropTag(op),
-                              child.iter.get(), {child.stats});
-        node->children.push_back(std::move(child.node));
-        child.node = std::move(node);
-        return child;
-      }
-      case OpKind::kAggregate: {
-        NATIX_ASSIGN_OR_RETURN(BuildResult child, Build(*op.children[0]));
-        NATIX_ASSIGN_OR_RETURN(RegisterId input, Resolve(op.ctx_attr));
-        RegisterId out = Bind(op.attr);
-        auto agg_iter = std::make_unique<AggregateIterator>(
-            state_, std::move(child.iter), op.agg, input, out);
-        obs::OpStats* stats = Observe(
-            "Aggregate[" + op.attr + " := " +
-                std::string(algebra::AggKindName(op.agg)) + "(" +
-                op.ctx_attr + ")]" + PropTag(op),
-            agg_iter.get(), {child.stats});
-        // The embedded nested plan's smart-aggregation counters land on
-        // the Aggregate's own node.
-        if (stats != nullptr) agg_iter->BindNestedStats(stats);
-        BuildResult result;
-        result.iter = std::move(agg_iter);
-        result.stats = stats;
-        result.written.insert(out);
-        result.node = MakeNode(PhysNodeKind::kBarrier, "Aggregate");
-        // The input is drained and closed inside a single Next via the
-        // nested-aggregate machinery (subscripts.cc), error paths
-        // included.
-        Effects(result.node.get(), {ChildClose::kProbeContained});
-        result.node->reads.push_back(input);
-        result.node->writes.push_back(out);
-        result.node->children.push_back(std::move(child.node));
-        return result;
-      }
-      case OpKind::kBinaryGroup: {
-        NATIX_ASSIGN_OR_RETURN(BuildResult left, Build(*op.children[0]));
-        NATIX_ASSIGN_OR_RETURN(BuildResult right, Build(*op.children[1]));
-        NATIX_ASSIGN_OR_RETURN(RegisterId left_attr, Resolve(op.left_attr));
-        NATIX_ASSIGN_OR_RETURN(RegisterId right_attr,
-                               Resolve(op.right_attr));
-        NATIX_ASSIGN_OR_RETURN(RegisterId agg_input, Resolve(op.ctx_attr));
-        RegisterId out = Bind(op.attr);
-        BuildResult result;
-        result.iter = std::make_unique<BinaryGroupIterator>(
-            state_, std::move(left.iter), std::move(right.iter), op.agg,
-            left_attr, right_attr, agg_input, out);
-        result.stats = Observe(
-            "BinaryGroup[" + op.attr + " := " +
-                std::string(algebra::AggKindName(op.agg)) + "; " +
-                op.left_attr + " = " + op.right_attr + "]",
-            result.iter.get(), {left.stats, right.stats});
-        result.written = std::move(left.written);
-        result.written.insert(out);
-        result.node = MakeNode(PhysNodeKind::kDependentLeft, "BinaryGroup");
-        Effects(result.node.get(),
-                {ChildClose::kOnClose, ChildClose::kProbeContained});
-        result.node->reads = {left_attr, right_attr, agg_input};
-        result.node->writes.push_back(out);
-        result.node->children.push_back(std::move(left.node));
-        result.node->children.push_back(std::move(right.node));
-        return result;
-      }
-      case OpKind::kTmpCs: {
-        NATIX_ASSIGN_OR_RETURN(BuildResult child, Build(*op.children[0]));
-        RegisterId out = Bind(op.attr);
-        PhysNodePtr node = MakeNode(PhysNodeKind::kPipeline, "TmpCs");
-        Effects(node.get(), {ChildClose::kOnClose}, SpoolKind::kGroup,
-                /*spool_released_on_close=*/true);
-        std::optional<RegisterId> ctx;
-        if (!op.ctx_attr.empty()) {
-          NATIX_ASSIGN_OR_RETURN(RegisterId reg, Resolve(op.ctx_attr));
-          ctx = reg;
-          node->reads.push_back(reg);
-        }
-        std::vector<RegisterId> rows(child.written.begin(),
-                                     child.written.end());
-        node->row_regs = rows;
-        node->writes.push_back(out);
-        child.iter = std::make_unique<TmpCsIterator>(
-            state_, std::move(child.iter), out, ctx, std::move(rows));
-        child.stats = Observe(
-            "TmpCs[" + op.attr +
-                (op.ctx_attr.empty() ? "" : "; context " + op.ctx_attr) +
-                "]" + PropTag(op),
-            child.iter.get(), {child.stats});
-        child.written.insert(out);
-        node->children.push_back(std::move(child.node));
-        child.node = std::move(node);
-        return child;
-      }
-      case OpKind::kMemoX: {
-        NATIX_ASSIGN_OR_RETURN(BuildResult child, Build(*op.children[0]));
-        std::vector<RegisterId> keys;
-        for (const std::string& key : op.key_attrs) {
-          NATIX_ASSIGN_OR_RETURN(RegisterId reg, Resolve(key));
-          keys.push_back(reg);
-        }
-        std::vector<RegisterId> rows(child.written.begin(),
-                                     child.written.end());
-        PhysNodePtr node = MakeNode(PhysNodeKind::kPipeline, "MemoX");
-        // The memo table is keyed on the free variables and intentionally
-        // survives Open/Close cycles; in-flight recordings are discarded
-        // on Close.
-        Effects(node.get(), {ChildClose::kOnClose}, SpoolKind::kMemo);
-        node->reads = keys;
-        node->row_regs = rows;
-        child.iter = std::make_unique<MemoXIterator>(
-            state_, std::move(child.iter), std::move(keys),
-            std::move(rows));
-        std::string key_list;
-        for (size_t i = 0; i < op.key_attrs.size(); ++i) {
-          if (i > 0) key_list += ", ";
-          key_list += op.key_attrs[i];
-        }
-        child.stats = Observe("MemoX[" + key_list + "]", child.iter.get(),
-                              {child.stats});
-        node->children.push_back(std::move(child.node));
-        child.node = std::move(node);
-        return child;
-      }
-      case OpKind::kUnnest: {
-        NATIX_ASSIGN_OR_RETURN(BuildResult child, Build(*op.children[0]));
-        NATIX_ASSIGN_OR_RETURN(RegisterId seq, Resolve(op.ctx_attr));
-        RegisterId out = Bind(op.attr);
-        child.iter = std::make_unique<UnnestIterator>(
-            state_, std::move(child.iter), seq, out);
-        child.stats = Observe("Unnest[" + op.attr + "]", child.iter.get(),
-                              {child.stats});
-        child.written.insert(out);
-        PhysNodePtr node = MakeNode(PhysNodeKind::kPipeline, "Unnest");
-        Effects(node.get(), {ChildClose::kOnClose});
-        node->reads.push_back(seq);
-        node->writes.push_back(out);
-        node->children.push_back(std::move(child.node));
-        child.node = std::move(node);
-        return child;
-      }
-      case OpKind::kIdDeref: {
-        NATIX_ASSIGN_OR_RETURN(BuildResult child, Build(*op.children[0]));
-        NATIX_ASSIGN_OR_RETURN(RegisterId ctx, Resolve(op.ctx_attr));
-        PhysNodePtr node = MakeNode(PhysNodeKind::kPipeline, "IdDeref");
-        // The lazily built id indexes live in the execution context and
-        // are shared across Opens — keyed memo state by design.
-        Effects(node.get(), {ChildClose::kOnClose}, SpoolKind::kMemo);
-        node->reads.push_back(ctx);
-        obs::OpStats* stats = NewStats("IdDeref[" + op.attr + "]");
-        SubscriptPtr scalar;
-        if (op.scalar != nullptr) {
-          NATIX_ASSIGN_OR_RETURN(
-              scalar, CompileSubscript(*op.scalar, node.get(), stats));
-        }
-        RegisterId out = Bind(op.attr);
-        child.iter = std::make_unique<IdDerefIterator>(
-            state_, std::move(child.iter), ctx, std::move(scalar), out);
-        child.stats = AttachStats(stats, child.iter.get(), {child.stats});
-        child.written.insert(out);
-        node->writes.push_back(out);
-        node->children.push_back(std::move(child.node));
-        child.node = std::move(node);
-        return child;
-      }
-      case OpKind::kLimit: {
-        NATIX_ASSIGN_OR_RETURN(BuildResult child, Build(*op.children[0]));
-        child.iter = std::make_unique<LimitIterator>(std::move(child.iter),
-                                                     op.limit);
-        child.stats =
-            Observe("Limit[" + std::to_string(op.limit) + "]" + PropTag(op),
-                    child.iter.get(), {child.stats});
-        PhysNodePtr node = MakeNode(PhysNodeKind::kPipeline, "Limit");
-        // Early exit closes the child inside Next; Close re-checks the
-        // open flag, so the child ends closed on every path.
-        Effects(node.get(), {ChildClose::kOnClose});
-        node->children.push_back(std::move(child.node));
-        child.node = std::move(node);
-        return child;
-      }
+      case OpKind::kAntiJoin:
+        return LowerSemiJoin(op, std::move(in[0]), std::move(in[1]));
+      case OpKind::kConcat: return LowerConcat(std::move(in));
+      case OpKind::kDupElim: return LowerDupElim(op, std::move(in[0]));
+      case OpKind::kSort: return LowerSort(op, std::move(in[0]));
+      case OpKind::kAggregate: return LowerAggregate(op, std::move(in[0]));
+      case OpKind::kBinaryGroup:
+        return LowerBinaryGroup(op, std::move(in[0]), std::move(in[1]));
+      case OpKind::kTmpCs: return LowerTmpCs(op, std::move(in[0]));
+      case OpKind::kMemoX: return LowerMemoX(op, std::move(in[0]));
+      case OpKind::kUnnest: return LowerUnnest(op, std::move(in[0]));
+      case OpKind::kIdDeref: return LowerIdDeref(op, std::move(in[0]));
+      case OpKind::kLimit: return LowerLimit(op, std::move(in[0]));
+      case OpKind::kProject: break;  // lowered by Lower itself
     }
     return Status::Internal("unknown operator kind");
   }
 
-  const PlanTemplate& tmpl_;
-  ExecutionContext* ctx_;
+  Lowered LowerScan() {
+    Lowered out;
+    out.node = MakeNode(PhysNodeKind::kLeaf, OpKind::kSingletonScan,
+                        "SingletonScan");
+    out.node->stats_label = "SingletonScan";
+    return out;
+  }
+
+  StatusOr<Lowered> LowerSelect(const Operator& op, Lowered child) {
+    PhysNodePtr node = MakeNode(PhysNodeKind::kPipeline, op.kind, "Select");
+    Effects(node.get(), {ChildClose::kOnClose});
+    node->stats_label = "Select[" + op.scalar->ToString() + "]";
+    NATIX_RETURN_IF_ERROR(CompileSubscript(*op.scalar, node.get()));
+    return Pipe(std::move(node), std::move(child));
+  }
+
+  StatusOr<Lowered> LowerMap(const Operator& op, Lowered child) {
+    // Attribute-manager fast path: a pure rename emits no code.
+    if (op.scalar->kind == algebra::ScalarKind::kAttrRef &&
+        !op.materialize) {
+      NATIX_ASSIGN_OR_RETURN(RegisterId source, Resolve(op.scalar->name));
+      if (Alias(op.attr, source)) {
+        child.written.insert(source);
+        return child;
+      }
+      // Already bound elsewhere (e.g. union branches sharing one output
+      // attribute): fall through to a real copy.
+    }
+    RegisterId out = Bind(op.attr);
+    PhysNodePtr node =
+        MakeNode(PhysNodeKind::kPipeline, op.kind,
+                 "Map[" + op.attr + "@r" + std::to_string(out) + "]");
+    // chi^mat keeps a keyed result cache that intentionally outlives
+    // Open/Close cycles within one execution context.
+    Effects(node.get(), {ChildClose::kOnClose},
+            op.materialize ? SpoolKind::kMemo : SpoolKind::kNone);
+    node->stats_label = std::string("Map") + (op.materialize ? "^mat" : "") +
+                        "[" + op.attr + " := " + op.scalar->ToString() + "]" +
+                        PropTag(op);
+    node->materialize = op.materialize;
+    if (op.materialize) {
+      NATIX_ASSIGN_OR_RETURN(
+          node->key_regs,
+          ResolveAll(algebra::ScalarFreeAttributes(*op.scalar)));
+      node->reads = node->key_regs;
+    }
+    NATIX_RETURN_IF_ERROR(CompileSubscript(*op.scalar, node.get()));
+    node->writes.push_back(out);
+    child.written.insert(out);
+    return Pipe(std::move(node), std::move(child));
+  }
+
+  StatusOr<Lowered> LowerCounter(const Operator& op, Lowered child) {
+    RegisterId out = Bind(op.attr);
+    PhysNodePtr node = MakeNode(PhysNodeKind::kPipeline, op.kind, "Counter");
+    Effects(node.get(), {ChildClose::kOnClose});
+    if (!op.ctx_attr.empty()) {
+      NATIX_ASSIGN_OR_RETURN(RegisterId reset, Resolve(op.ctx_attr));
+      node->reads.push_back(reset);
+    }
+    node->writes.push_back(out);
+    node->stats_label =
+        "Counter[" + op.attr +
+        (op.ctx_attr.empty() ? "" : ", reset on " + op.ctx_attr) + "]";
+    child.written.insert(out);
+    return Pipe(std::move(node), std::move(child));
+  }
+
+  StatusOr<Lowered> LowerUnnestMap(const Operator& op, Lowered child) {
+    NATIX_ASSIGN_OR_RETURN(RegisterId ctx, Resolve(op.ctx_attr));
+    RegisterId out = Bind(op.attr);
+    PhysNodePtr node =
+        MakeNode(PhysNodeKind::kPipeline, op.kind, "UnnestMap");
+    // The axis cursor pins pages between Next calls while active; Close
+    // drops it (pin balance on early exit).
+    Effects(node.get(), {ChildClose::kOnClose}, SpoolKind::kNone,
+            /*spool_released_on_close=*/false, /*holds_cursor=*/true,
+            /*cursor_released_on_close=*/true);
+    node->axis = op.axis;
+    node->test = ResolveNodeTest(op.test);
+    node->reads.push_back(ctx);
+    node->writes.push_back(out);
+    node->stats_label = "UnnestMap[" + op.attr + " := " + op.ctx_attr + "/" +
+                        runtime::AxisName(op.axis) +
+                        "::" + op.test.ToString() + "]" + PropTag(op);
+    child.written.insert(out);
+    return Pipe(std::move(node), std::move(child));
+  }
+
+  Lowered LowerDJoin(const Operator& op, Lowered left, Lowered right) {
+    const char* name = op.kind == OpKind::kDJoin ? "DJoin" : "Cross";
+    PhysNodePtr node = MakeNode(PhysNodeKind::kDependent, op.kind, name);
+    Effects(node.get(), {ChildClose::kOnClose, ChildClose::kOnClose});
+    node->stats_label = name;
+    return Join(std::move(node), std::move(left), std::move(right));
+  }
+
+  StatusOr<Lowered> LowerSemiJoin(const Operator& op, Lowered left,
+                                  Lowered right) {
+    const char* name = op.kind == OpKind::kSemiJoin ? "SemiJoin" : "AntiJoin";
+    PhysNodePtr node = MakeNode(PhysNodeKind::kDependentLeft, op.kind, name);
+    // The probe side is opened and closed inside every Next call,
+    // including error paths — never open across calls.
+    Effects(node.get(), {ChildClose::kOnClose, ChildClose::kProbeContained});
+    node->stats_label =
+        std::string(name) + "[" + op.scalar->ToString() + "]";
+    NATIX_RETURN_IF_ERROR(CompileSubscript(*op.scalar, node.get()));
+    return Join(std::move(node), std::move(left), std::move(right));
+  }
+
+  Lowered LowerConcat(std::vector<Lowered> in) {
+    Lowered out;
+    out.node = MakeNode(PhysNodeKind::kConcat, OpKind::kConcat, "Concat");
+    for (Lowered& child : in) {
+      out.written.insert(child.written.begin(), child.written.end());
+      out.node->children.push_back(std::move(child.node));
+    }
+    // Branches are opened lazily and each is closed before the next
+    // opens; Close finds at most the current branch open.
+    Effects(out.node.get(),
+            std::vector<ChildClose>(in.size(), ChildClose::kOnClose));
+    out.node->stats_label = "Concat";
+    return out;
+  }
+
+  StatusOr<Lowered> LowerDupElim(const Operator& op, Lowered child) {
+    NATIX_ASSIGN_OR_RETURN(RegisterId attr, Resolve(op.attr));
+    PhysNodePtr node = MakeNode(PhysNodeKind::kPipeline, op.kind, "DupElim");
+    Effects(node.get(), {ChildClose::kOnClose}, SpoolKind::kFull,
+            /*spool_released_on_close=*/true);
+    node->reads.push_back(attr);
+    node->stats_label = "DupElim[" + op.attr + "]" + PropTag(op);
+    return Pipe(std::move(node), std::move(child));
+  }
+
+  StatusOr<Lowered> LowerSort(const Operator& op, Lowered child) {
+    NATIX_ASSIGN_OR_RETURN(RegisterId attr, Resolve(op.attr));
+    PhysNodePtr node = MakeNode(PhysNodeKind::kPipeline, op.kind, "Sort");
+    Effects(node.get(), {ChildClose::kOnClose}, SpoolKind::kFull,
+            /*spool_released_on_close=*/true);
+    node->reads.push_back(attr);
+    node->row_regs.assign(child.written.begin(), child.written.end());
+    node->stats_label = "Sort[" + op.attr + "]" + PropTag(op);
+    return Pipe(std::move(node), std::move(child));
+  }
+
+  StatusOr<Lowered> LowerAggregate(const Operator& op, Lowered child) {
+    NATIX_ASSIGN_OR_RETURN(RegisterId input, Resolve(op.ctx_attr));
+    RegisterId out = Bind(op.attr);
+    PhysNodePtr node = MakeNode(PhysNodeKind::kBarrier, op.kind, "Aggregate");
+    // The input is drained and closed inside a single Next via the
+    // nested-aggregate machinery (subscripts.cc), error paths included.
+    Effects(node.get(), {ChildClose::kProbeContained});
+    node->agg = op.agg;
+    node->reads.push_back(input);
+    node->writes.push_back(out);
+    node->stats_label = "Aggregate[" + op.attr + " := " +
+                        std::string(algebra::AggKindName(op.agg)) + "(" +
+                        op.ctx_attr + ")]" + PropTag(op);
+    child.written = {out};
+    return Pipe(std::move(node), std::move(child));
+  }
+
+  StatusOr<Lowered> LowerBinaryGroup(const Operator& op, Lowered left,
+                                     Lowered right) {
+    PhysNodePtr node =
+        MakeNode(PhysNodeKind::kDependentLeft, op.kind, "BinaryGroup");
+    Effects(node.get(), {ChildClose::kOnClose, ChildClose::kProbeContained});
+    NATIX_ASSIGN_OR_RETURN(
+        node->reads,
+        ResolveAll(std::vector<std::string>{op.left_attr, op.right_attr,
+                                            op.ctx_attr}));
+    RegisterId out = Bind(op.attr);
+    node->agg = op.agg;
+    node->writes.push_back(out);
+    node->stats_label = "BinaryGroup[" + op.attr + " := " +
+                        std::string(algebra::AggKindName(op.agg)) + "; " +
+                        op.left_attr + " = " + op.right_attr + "]";
+    // Only the left tuple survives, extended by the aggregate.
+    node->children.push_back(std::move(left.node));
+    node->children.push_back(std::move(right.node));
+    left.node = std::move(node);
+    left.written.insert(out);
+    return left;
+  }
+
+  StatusOr<Lowered> LowerTmpCs(const Operator& op, Lowered child) {
+    RegisterId out = Bind(op.attr);
+    PhysNodePtr node = MakeNode(PhysNodeKind::kPipeline, op.kind, "TmpCs");
+    Effects(node.get(), {ChildClose::kOnClose}, SpoolKind::kGroup,
+            /*spool_released_on_close=*/true);
+    if (!op.ctx_attr.empty()) {
+      NATIX_ASSIGN_OR_RETURN(RegisterId ctx, Resolve(op.ctx_attr));
+      node->reads.push_back(ctx);
+    }
+    node->row_regs.assign(child.written.begin(), child.written.end());
+    node->writes.push_back(out);
+    node->stats_label =
+        "TmpCs[" + op.attr +
+        (op.ctx_attr.empty() ? "" : "; context " + op.ctx_attr) + "]" +
+        PropTag(op);
+    child.written.insert(out);
+    return Pipe(std::move(node), std::move(child));
+  }
+
+  StatusOr<Lowered> LowerMemoX(const Operator& op, Lowered child) {
+    PhysNodePtr node = MakeNode(PhysNodeKind::kPipeline, op.kind, "MemoX");
+    // The memo table is keyed on the free variables and intentionally
+    // survives Open/Close cycles; in-flight recordings are discarded on
+    // Close.
+    Effects(node.get(), {ChildClose::kOnClose}, SpoolKind::kMemo);
+    NATIX_ASSIGN_OR_RETURN(node->key_regs, ResolveAll(op.key_attrs));
+    node->reads = node->key_regs;
+    node->row_regs.assign(child.written.begin(), child.written.end());
+    std::string key_list;
+    for (size_t i = 0; i < op.key_attrs.size(); ++i) {
+      if (i > 0) key_list += ", ";
+      key_list += op.key_attrs[i];
+    }
+    node->stats_label = "MemoX[" + key_list + "]";
+    return Pipe(std::move(node), std::move(child));
+  }
+
+  StatusOr<Lowered> LowerUnnest(const Operator& op, Lowered child) {
+    NATIX_ASSIGN_OR_RETURN(RegisterId seq, Resolve(op.ctx_attr));
+    RegisterId out = Bind(op.attr);
+    PhysNodePtr node = MakeNode(PhysNodeKind::kPipeline, op.kind, "Unnest");
+    Effects(node.get(), {ChildClose::kOnClose});
+    node->reads.push_back(seq);
+    node->writes.push_back(out);
+    node->stats_label = "Unnest[" + op.attr + "]";
+    child.written.insert(out);
+    return Pipe(std::move(node), std::move(child));
+  }
+
+  StatusOr<Lowered> LowerIdDeref(const Operator& op, Lowered child) {
+    NATIX_ASSIGN_OR_RETURN(RegisterId ctx, Resolve(op.ctx_attr));
+    PhysNodePtr node = MakeNode(PhysNodeKind::kPipeline, op.kind, "IdDeref");
+    // The lazily built id indexes live in the execution context and are
+    // shared across Opens — keyed memo state by design.
+    Effects(node.get(), {ChildClose::kOnClose}, SpoolKind::kMemo);
+    node->reads.push_back(ctx);
+    node->stats_label = "IdDeref[" + op.attr + "]";
+    if (op.scalar != nullptr) {
+      NATIX_RETURN_IF_ERROR(CompileSubscript(*op.scalar, node.get()));
+    }
+    RegisterId out = Bind(op.attr);
+    node->writes.push_back(out);
+    child.written.insert(out);
+    return Pipe(std::move(node), std::move(child));
+  }
+
+  Lowered LowerLimit(const Operator& op, Lowered child) {
+    PhysNodePtr node = MakeNode(PhysNodeKind::kPipeline, op.kind, "Limit");
+    // Early exit closes the child inside Next; Close re-checks the open
+    // flag, so the child ends closed on every path.
+    Effects(node.get(), {ChildClose::kOnClose});
+    node->limit = op.limit;
+    node->stats_label =
+        "Limit[" + std::to_string(op.limit) + "]" + PropTag(op);
+    return Pipe(std::move(node), std::move(child));
+  }
+
+  PlanTemplate& tmpl_;
+  analysis::PhysicalModel& model_;
   const storage::NodeStore* store_;
-  /// The template's property map (computed once at prepare time); the
-  /// lowering only reads it.
+  /// Inferred stream properties per logical operator.
   const analysis::PropertyMap& props_;
-  const bool prepare_;
-  ExecutionContext* state_ = nullptr;
-  /// The context's stats collector; null unless instantiated with stats.
-  obs::QueryStats* qstats_ = nullptr;
   std::unordered_map<std::string, RegisterId> attribute_map_;
   RegisterId next_register_ = 0;
-  /// Root of the Layer-2 dataflow model (consumed by FinishPrepare).
-  PhysNodePtr root_node_;
-  /// Every compiled NVM subscript with its site label (Layer-3 sweep;
-  /// collected at prepare time only).
-  std::vector<std::pair<std::string, nvm::Program>> programs_;
-  /// Post-order subscript counter pairing each compiled subscript with
-  /// its template slot across prepare and instantiation.
-  size_t subscript_index_ = 0;
-  /// Prepare-time collections moved into the template by FinishPrepare.
-  std::vector<nvm::Program> optimized_programs_;
-  std::string nvm_listing_before_;
-  std::string nvm_listing_after_;
-  size_t nvm_insns_before_ = 0;
-  size_t nvm_insns_after_ = 0;
+  size_t nested_count_ = 0;
   algebra::RewriteLog nvm_rewrites_;
 };
 
@@ -1017,11 +779,13 @@ StatusOr<std::unique_ptr<PlanTemplate>> Codegen::Prepare(
   tmpl->store_ = store;
 
   // Static property inference over the logical plan (ordering,
-  // duplicate-freedom, cardinality, node classes). Runs once per
-  // template: the annotations drive the EXPLAIN property tags, the
-  // result-order guarantee, and — under verification — the runtime
-  // property oracle wrappers of every instantiation.
-  tmpl->props_ = analysis::AnnotatePlan(*translation.plan);
+  // duplicate-freedom, cardinality, node classes). The annotations drive
+  // the EXPLAIN property tags, the result-order guarantee, and — under
+  // verification — the runtime property-oracle wrappers recorded in the
+  // lowered plan. They key on the operators, which stay put when the
+  // template takes the translation over below.
+  const analysis::PropertyMap props =
+      analysis::AnnotatePlan(*translation.plan);
   tmpl->logical_plan_ = translation.plan->ToString();
   tmpl->properties_plan_ = analysis::RenderAnnotatedPlan(*translation.plan);
   tmpl->rewrites_ = translation.rewrites;
@@ -1042,45 +806,10 @@ StatusOr<std::unique_ptr<PlanTemplate>> Codegen::Prepare(
       "{\"plan\":" + plan_json +
       ",\"segments\":" + analysis::SegmentsJson(tmpl->segmentation_) + "}\n";
 
-  // Result-order guarantee: when the root stream is provably in
-  // (non-strict) document order on the result attribute, the API skips
-  // its final result sort.
-  analysis::AttrProperties result_props;
-  if (auto it = tmpl->props_.find(translation.plan.get());
-      it != tmpl->props_.end()) {
-    result_props = it->second.Lookup(translation.result_attr);
-  }
-  tmpl->result_document_ordered_ =
-      translation.type == xpath::ExprType::kNodeSet &&
-      result_props.order == analysis::OrderState::kDocOrdered;
-
-  // The template takes ownership of the operator tree; the property map
-  // keys stay valid (moving the TranslationResult moves the root
-  // pointer, not the operators).
   tmpl->translation_ = std::move(translation);
-
-  // Validation lowering: one throwaway context fixes the (deterministic)
-  // register assignment, renders the physical plan, and feeds the static
-  // verifier. Real executions instantiate their own contexts later.
-  ExecutionContext scratch;
-  internal::CodegenImpl impl(*tmpl, &scratch, /*prepare=*/true);
-  NATIX_RETURN_IF_ERROR(impl.Instantiate(/*collect_stats=*/false));
-  NATIX_RETURN_IF_ERROR(impl.FinishPrepare(tmpl.get()));
+  internal::CodegenImpl impl(tmpl.get(), props);
+  NATIX_RETURN_IF_ERROR(impl.Run());
   return tmpl;
-}
-
-StatusOr<std::unique_ptr<ExecutionContext>> PlanTemplate::NewContext(
-    bool collect_stats) const {
-  obs::ScopedSpan span("exec/instantiate");
-  auto ctx = std::make_unique<ExecutionContext>();
-  internal::CodegenImpl impl(*this, ctx.get(), /*prepare=*/false);
-  NATIX_RETURN_IF_ERROR(impl.Instantiate(collect_stats));
-  if (impl.register_count() != register_count_) {
-    return Status::Internal(
-        "plan instantiation diverged from the prepared template (register "
-        "assignment is expected to be deterministic)");
-  }
-  return ctx;
 }
 
 }  // namespace natix::qe

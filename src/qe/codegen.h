@@ -11,18 +11,17 @@
 namespace natix::qe {
 
 /// Code generation (step 6 of the compiler pipeline, Sec. 5.1): lowers a
-/// logical algebra plan to a physical iterator tree over a plan-wide
-/// register file. The attribute manager maps attribute names onto
-/// registers; renaming maps (chi_{a := b}) emit no copies — both names
-/// alias one register — exactly as the paper describes.
+/// logical algebra plan to a physical plan over a plan-wide register
+/// file. The attribute manager maps attribute names onto registers;
+/// renaming maps (chi_{a := b}) emit no copies — both names alias one
+/// register — exactly as the paper describes.
 ///
-/// Codegen is split along the compile-once / execute-many axis:
-/// Prepare() runs the expensive, deterministic-per-query work exactly
-/// once (property inference, a validation lowering that fixes the
-/// register assignment, static verification, explain rendering) and
-/// returns an immutable PlanTemplate; PlanTemplate::NewContext() then
-/// re-runs only the lowering pass to instantiate a private iterator
-/// tree per execution context.
+/// Lowering happens once per query, in Prepare(): property inference,
+/// register assignment, node-test name resolution, NVM subscript
+/// compilation and optimization, static verification (Layers 1-4) and
+/// explain rendering. The result is an immutable PlanTemplate holding the
+/// lowered plan; PlanTemplate::NewContext() instantiates it per
+/// execution by walking that plan and allocating iterators.
 class Codegen {
  public:
   /// Prepares `translation` into an immutable plan template bound to

@@ -20,7 +20,7 @@
 namespace natix::qe {
 
 namespace internal {
-class CodegenImpl;
+class Instantiator;
 }  // namespace internal
 
 class PlanTemplate;
@@ -32,13 +32,13 @@ class PlanTemplate;
 /// node, $variables), per-context caches, and the optional per-operator
 /// stats collector.
 ///
-/// Contexts are cheap relative to compilation (no parse / rewrite /
-/// inference / verification — only the deterministic lowering pass) and
-/// reusable: Execute* may be called any number of times, rebinding the
-/// context node between calls. A context is single-threaded; concurrency
-/// comes from instantiating one context per thread off a shared
-/// template. Non-movable: iterators and NVM subscripts hold stable
-/// pointers into it.
+/// Contexts are cheap relative to compilation: no parse, rewrite,
+/// inference, lowering or verification, only the allocation of the
+/// iterators of the template's lowered plan. They are reusable: Execute*
+/// may be called any number of times, rebinding the context node between
+/// calls. A context is single-threaded; concurrency comes from
+/// instantiating one context per thread off a shared template.
+/// Non-movable: iterators and NVM subscripts hold stable pointers into it.
 class ExecutionContext {
  public:
   ExecutionContext() = default;
@@ -164,7 +164,7 @@ class ExecutionContext {
   uint64_t nvm_insns_retired = 0;
 
  private:
-  friend class internal::CodegenImpl;
+  friend class internal::Instantiator;
 
   const PlanTemplate* template_ = nullptr;
   IteratorPtr root_;

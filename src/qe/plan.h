@@ -8,9 +8,8 @@
 
 #include "algebra/rewriter.h"
 #include "analysis/fusability.h"
-#include "analysis/property_inference.h"
+#include "analysis/physical_model.h"
 #include "base/statusor.h"
-#include "nvm/program.h"
 #include "qe/exec_context.h"
 #include "translate/translator.h"
 #include "xpath/ast.h"
@@ -28,15 +27,17 @@ class CodegenImpl;
 class Codegen;
 
 /// The immutable, shareable half of a compiled query: the translated
-/// algebra plan, its inferred stream properties, the explain renderings
-/// and the verification verdict — everything that is a function of the
-/// XPath text and the store schema, nothing that execution mutates.
+/// algebra plan, the lowered physical plan with its NVM subscript
+/// programs, the explain renderings and the verification verdict.
+/// Everything here is a function of the XPath text and the store's name
+/// dictionary at Prepare; nothing here is mutated by execution.
 ///
-/// Compilation (parse, rewrite, translation, property inference, static
-/// verification, explain rendering) happens exactly once per template;
-/// each evaluation then instantiates a fresh ExecutionContext, which
-/// re-runs only the deterministic lowering of the operator tree into an
-/// iterator tree over a private register file.
+/// Codegen::Prepare lowers the plan exactly once: it fixes the register
+/// assignment, resolves attribute and node-test names, compiles and
+/// optimizes every subscript, and verifies the result (Layers 1-4). Each
+/// execution then instantiates a fresh ExecutionContext by walking the
+/// lowered plan and allocating one iterator per node over a private
+/// register file; subscripts borrow their programs from the template.
 ///
 /// Thread safety: a template is deeply const after Codegen::Prepare
 /// returns it. Any number of threads may call NewContext and the
@@ -46,11 +47,12 @@ class PlanTemplate {
   PlanTemplate(const PlanTemplate&) = delete;
   PlanTemplate& operator=(const PlanTemplate&) = delete;
 
-  /// Instantiates the plan into a fresh, independent execution context.
-  /// With `collect_stats` the context carries a per-operator stats tree
-  /// (src/obs) and every iterator is instrumented; without it the
-  /// context runs uninstrumented (one dormant branch per iterator call).
-  StatusOr<std::unique_ptr<ExecutionContext>> NewContext(
+  /// Instantiates the lowered plan into a fresh, independent execution
+  /// context. With `collect_stats` the context carries a per-operator
+  /// stats tree (src/obs) and every iterator is instrumented; without it
+  /// the context runs uninstrumented (one dormant branch per iterator
+  /// call).
+  std::unique_ptr<ExecutionContext> NewContext(
       bool collect_stats = false) const;
 
   xpath::ExprType result_type() const { return translation_.type; }
@@ -108,9 +110,9 @@ class PlanTemplate {
   /// redundant.
   bool result_document_ordered() const { return result_document_ordered_; }
 
-  /// Registers each instantiated context allocates (fixed at prepare
-  /// time; lowering is deterministic).
-  size_t register_count() const { return register_count_; }
+  /// The lowered physical plan NewContext instantiates and Layers 2-4
+  /// verified: operator tree, register layout, subscript programs.
+  const analysis::PhysicalModel& lowered_plan() const { return lowered_; }
 
   const storage::NodeStore* store() const { return store_; }
 
@@ -120,15 +122,9 @@ class PlanTemplate {
 
   PlanTemplate() = default;
 
-  /// Owns the operator tree; the property map below points into it, so
-  /// the template must own both with matching lifetime.
   translate::TranslationResult translation_;
   const storage::NodeStore* store_ = nullptr;
-  /// Inferred static stream properties per logical operator, computed
-  /// once and consulted by every instantiation (stats labels, oracle
-  /// wrappers, final-sort skip).
-  analysis::PropertyMap props_;
-  size_t register_count_ = 0;
+  analysis::PhysicalModel lowered_;
   std::string logical_plan_;
   std::string physical_plan_;
   std::string verification_;
@@ -138,10 +134,6 @@ class PlanTemplate {
   std::string segments_text_;
   algebra::RewriteLog rewrites_;
   bool result_document_ordered_ = false;
-  /// The final (optimized) subscript programs in deterministic compile
-  /// order: instantiation replays them so the optimizer and its per-pass
-  /// verification run once per template, not once per context.
-  std::vector<nvm::Program> nvm_programs_;
   std::string nvm_listing_before_;
   std::string nvm_listing_after_;
   size_t nvm_insns_before_ = 0;

@@ -24,7 +24,10 @@ struct NestedPlan {
   obs::OpStats* stats = nullptr;
 };
 
-using NestedTable = std::vector<std::unique_ptr<NestedPlan>>;
+/// The execution context's nested-plan table, indexed by the operand of
+/// kEvalNested: sized once per context from the lowered plan, never
+/// resized afterwards (subscripts hold a pointer to it).
+using NestedTable = std::vector<NestedPlan>;
 
 /// Runs a nested plan to completion (with smart-aggregation early exit
 /// where the aggregate allows it) and returns the aggregated value.
@@ -32,21 +35,26 @@ StatusOr<runtime::Value> RunNestedAggregate(NestedPlan* nested,
                                             ExecutionContext* state);
 
 /// A compiled NVM subscript bound to its plan: evaluating it reads the
-/// current tuple from the plan registers. Non-movable (the Vm holds a
-/// pointer to the program).
+/// current tuple from the plan registers. The program is borrowed from
+/// the immutable plan template, which outlives every context built from
+/// it; only the VM's scratch frame is per subscript. Non-movable (the
+/// nested evaluator captures `this`).
 class Subscript {
  public:
-  Subscript(nvm::Program program, ExecutionContext* state, NestedTable* nested)
-      : program_(std::move(program)),
-        vm_(&program_),
+  Subscript(const nvm::Program& program, ExecutionContext* state,
+            NestedTable* nested)
+      : vm_(&program),
         state_(state),
         nested_(nested),
         nested_eval_([this](size_t index) -> StatusOr<runtime::Value> {
           if (index >= nested_->size()) {
             return Status::Internal("nested plan index out of range");
           }
-          return RunNestedAggregate((*nested_)[index].get(), state_);
+          return RunNestedAggregate(&(*nested_)[index], state_);
         }) {}
+  /// A temporary program would dangle.
+  Subscript(nvm::Program&& program, ExecutionContext* state,
+            NestedTable* nested) = delete;
 
   Subscript(const Subscript&) = delete;
   Subscript& operator=(const Subscript&) = delete;
@@ -54,10 +62,7 @@ class Subscript {
   StatusOr<runtime::Value> Evaluate();
   StatusOr<bool> EvaluateBool();
 
-  const nvm::Program& program() const { return program_; }
-
  private:
-  nvm::Program program_;
   nvm::Vm vm_;
   ExecutionContext* state_;
   NestedTable* nested_;

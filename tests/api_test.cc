@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <string>
 
 namespace natix {
 namespace {
@@ -59,6 +60,35 @@ TEST(DatabaseTest, ExecutionIsReusableAcrossContexts) {
   ASSERT_TRUE(v0.ok() && v1.ok());
   EXPECT_EQ(v0->AsNumber(), 2);
   EXPECT_EQ(v1->AsNumber(), 1);
+}
+
+TEST(DatabaseTest, QueriesAtTheSizeBoundPrepareAndExecute) {
+  // The largest shapes the parser admits (128 levels of nesting, 256
+  // steps plus predicates): one step with 126 predicates, and 127 steps
+  // with one predicate each. Lowering and instantiation recurse once per
+  // plan operator, so both must also fit the main thread's stack in a
+  // Debug sanitizer build.
+  auto db = Database::CreateTemp();
+  ASSERT_TRUE(db.ok());
+  std::string xml = "<r>";
+  for (int i = 0; i < 127; ++i) xml += "<a>";
+  for (int i = 0; i < 127; ++i) xml += "</a>";
+  auto info = (*db)->LoadDocument("deep", xml + "</r>");
+  ASSERT_TRUE(info.ok());
+
+  std::string predicates = "/r";
+  for (int i = 0; i < 126; ++i) predicates += "[1]";
+  std::string steps = "/r";
+  for (int i = 0; i < 127; ++i) steps += "/a[1]";
+  for (const std::string& query : {predicates, steps}) {
+    auto prepared = (*db)->Prepare(query);
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    auto exec = (*prepared)->NewExecution();
+    ASSERT_TRUE(exec.ok());
+    auto nodes = (*exec)->EvaluateNodes(info->root);
+    ASSERT_TRUE(nodes.ok()) << nodes.status().ToString();
+    EXPECT_EQ(nodes->size(), 1u);
+  }
 }
 
 TEST(DatabaseTest, ResultTypeIsExposed) {

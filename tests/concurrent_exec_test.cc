@@ -1,8 +1,8 @@
 // Concurrent executions over shared prepared plans: the central claim
 // of the plan/execution split is that one immutable PreparedQuery can
 // back any number of simultaneous executions. Eight threads hammer the
-// same five paper-shaped plans (and the same buffer pool, with one
-// stripe and with eight) and every result must byte-for-byte match the
+// same paper-shaped plans (and the same buffer pool, with one stripe and
+// with eight) and every result must byte-for-byte match the
 // single-threaded golden.
 // The tsan CI job runs this binary with -fsanitize=thread, so latent
 // races in the template, the plan cache, or the pool surface here.
@@ -24,12 +24,18 @@ namespace {
 
 /// The five query shapes of the paper's evaluation (Figs. 6-10): the
 /// four generated-document axis cascades plus a positional predicate.
+/// The last two add nested subscripts: a count() predicate over a path
+/// with its own existential predicate, and a nested plan inside a
+/// nested plan, so every execution also instantiates nested-plan slots
+/// and subscripts borrowing the shared template's programs.
 const char* kPaperQueries[] = {
     "/child::xdoc/desc::*/anc::*/desc::*/@id",
     "/child::xdoc/desc::*/pre-sib::*/fol::*/@id",
     "/child::xdoc/desc::*/anc::*/anc::*/@id",
     "/child::xdoc/child::*/par::*/desc::*/@id",
     "/xdoc/n[position() = last()]/@id",
+    "/xdoc/desc::n[count(n[n]) > 1]/@id",
+    "/xdoc/desc::n[count(n[count(n) > 1]) > 0]/@id",
 };
 
 struct SharedFixture {
@@ -95,10 +101,12 @@ TEST_P(ConcurrentExecShardsTest, EightThreadsMatchSequentialGoldens) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       // Each worker instantiates its own executions once and reuses
-      // them, the intended steady-state shape of the API.
+      // them, the intended steady-state shape of the API. Odd workers
+      // collect per-operator stats, so stats trees are built from the
+      // shared lowered plan concurrently with uninstrumented contexts.
       std::vector<std::unique_ptr<PreparedQuery::Execution>> execs;
       for (const auto& plan : f.plans) {
-        auto exec = plan->NewExecution();
+        auto exec = plan->NewExecution(/*collect_stats=*/t % 2 == 1);
         if (!exec.ok()) {
           ++errors;
           return;

@@ -100,12 +100,25 @@ TEST(PlanCacheTest, DocumentLoadInvalidatesCachedPlans) {
   auto none = db->QueryNumber("doc", "count(//c)");
   ASSERT_TRUE(none.ok());
   EXPECT_EQ(*none, 0.0);
+  auto stale = db->Prepare("count(//c)");
+  ASSERT_TRUE(stale.ok());
 
-  // The reload introduces "c". A stale cached plan would still carry
-  // the unresolved name id and keep returning zero.
+  // The reload introduces "c" and empties the cache.
   auto info = db->LoadDocument("doc2", "<r><c/><c/></r>");
   ASSERT_TRUE(info.ok());
   EXPECT_EQ(db->plan_cache().size(), 0u);
+
+  // Names resolve at Prepare, so a handle prepared before the load keeps
+  // its compile-time binding: "c" stays unresolved and counts nothing,
+  // even in a fresh execution over the new document. This is what a
+  // cached plan would keep returning had the load not invalidated it.
+  auto stale_exec = (*stale)->NewExecution();
+  ASSERT_TRUE(stale_exec.ok());
+  auto stale_count = (*stale_exec)->EvaluateNumber(info->root);
+  ASSERT_TRUE(stale_count.ok());
+  EXPECT_EQ(*stale_count, 0.0);
+
+  // A fresh Prepare after the load resolves "c".
   auto two = db->QueryNumber("doc2", "count(//c)");
   ASSERT_TRUE(two.ok());
   EXPECT_EQ(*two, 2.0);

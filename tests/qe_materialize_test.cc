@@ -166,9 +166,11 @@ TEST(TmpCsIteratorTest, EmptyInput) {
   EXPECT_FALSE(has);
 }
 
-/// Compiles "left < right" over two number registers.
+/// Compiles "left < right" over two number registers into `program`,
+/// which the returned subscript borrows.
 SubscriptPtr LessThan(ExecutionContext* state, NestedTable* nested,
-                      RegisterId left, RegisterId right) {
+                      nvm::Program* program, RegisterId left,
+                      RegisterId right) {
   auto lhs = algebra::MakeScalar(algebra::ScalarKind::kAttrRef);
   lhs->name = "l";
   auto rhs = algebra::MakeScalar(algebra::ScalarKind::kAttrRef);
@@ -185,9 +187,10 @@ SubscriptPtr LessThan(ExecutionContext* state, NestedTable* nested,
       [](const algebra::Scalar&) -> StatusOr<size_t> {
     return Status::Internal("none");
   };
-  auto program = nvm::CompileScalar(*cmp, resolver, registrar);
-  NATIX_CHECK(program.ok());
-  return std::make_unique<Subscript>(std::move(*program), state, nested);
+  auto compiled = nvm::CompileScalar(*cmp, resolver, registrar);
+  NATIX_CHECK(compiled.ok());
+  *program = std::move(compiled).value();
+  return std::make_unique<Subscript>(*program, state, nested);
 }
 
 TEST(SemiJoinIteratorTest, SemiAndAntiAreComplements) {
@@ -196,12 +199,13 @@ TEST(SemiJoinIteratorTest, SemiAndAntiAreComplements) {
     ExecutionContext state;
     state.registers.Resize(2);
     NestedTable nested;
+    nvm::Program program;
     auto left = std::make_unique<NumbersIterator>(
         &state, 0, std::vector<double>{1, 5, 9});
     auto right = std::make_unique<NumbersIterator>(
         &state, 1, std::vector<double>{4, 6});
     SemiJoinIterator join(mode, std::move(left), std::move(right),
-                          LessThan(&state, &nested, 0, 1));
+                          LessThan(&state, &nested, &program, 0, 1));
     // Semi: left values with SOME right value greater: 1 (<4), 5 (<6).
     // Anti: left values with NO right value greater: 9.
     std::vector<double> got = Drain(&join, &state, 0);

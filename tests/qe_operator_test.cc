@@ -80,23 +80,22 @@ struct Harness {
     auto prepared = Codegen::Prepare(std::move(translation), db->store());
     NATIX_CHECK(prepared.ok());
     auto context = (*prepared)->NewContext();
-    NATIX_CHECK(context.ok());
     storage::NodeRecord record;
     NATIX_CHECK(db->store()->ReadNode(root, &record).ok());
-    (*context)->SetContextNode(runtime::NodeRef::Make(root, record.order));
+    context->SetContextNode(runtime::NodeRef::Make(root, record.order));
     // Drain through the generic node path or value path by hand.
     std::vector<std::string> out;
     // Use ExecuteNodes only for node results; otherwise inspect values by
     // running through a scalar single-tuple execution. For generality we
     // re-execute through the plan API when the type is node-set.
     if (type == xpath::ExprType::kNodeSet) {
-      auto nodes = (*context)->ExecuteNodes();
+      auto nodes = context->ExecuteNodes();
       NATIX_CHECK(nodes.ok());
       for (const runtime::NodeRef& ref : *nodes) {
         out.push_back(std::to_string(ref.order));
       }
     } else {
-      auto value = (*context)->ExecuteValue();
+      auto value = context->ExecuteValue();
       NATIX_CHECK(value.ok());
       out.push_back(value->DebugString());
     }

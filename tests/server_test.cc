@@ -44,33 +44,56 @@ struct ServerFixture {
   std::unique_ptr<server::Server> server;
 };
 
-ServerFixture& Fixture() {
-  static ServerFixture* fixture = [] {
-    auto* f = new ServerFixture();
-    auto db = Database::CreateTemp();
-    EXPECT_TRUE(db.ok()) << db.status().ToString();
-    f->db = std::move(db).value();
+std::unique_ptr<ServerFixture> MakeFixture() {
+  auto f = std::make_unique<ServerFixture>();
+  auto db = Database::CreateTemp();
+  EXPECT_TRUE(db.ok()) << db.status().ToString();
+  f->db = std::move(db).value();
 
-    auto books = f->db->LoadDocument("books", kBooksXml);
-    EXPECT_TRUE(books.ok()) << books.status().ToString();
-    f->books_root = books->root;
+  auto books = f->db->LoadDocument("books", kBooksXml);
+  EXPECT_TRUE(books.ok()) << books.status().ToString();
+  f->books_root = books->root;
 
-    gen::XDocOptions options;
-    options.max_elements = 2500;
-    options.fanout = 6;
-    options.depth = 5;
-    auto xdoc = f->db->LoadDocument("xdoc", gen::GenerateXDoc(options));
-    EXPECT_TRUE(xdoc.ok()) << xdoc.status().ToString();
-    f->xdoc_root = xdoc->root;
+  gen::XDocOptions options;
+  options.max_elements = 2500;
+  options.fanout = 6;
+  options.depth = 5;
+  auto xdoc = f->db->LoadDocument("xdoc", gen::GenerateXDoc(options));
+  EXPECT_TRUE(xdoc.ok()) << xdoc.status().ToString();
+  f->xdoc_root = xdoc->root;
 
-    f->server = std::make_unique<server::Server>(f->db.get(),
-                                                 server::ServerOptions());
-    Status started = f->server->Start();
-    EXPECT_TRUE(started.ok()) << started.ToString();
-    return f;
-  }();
-  return *fixture;
+  f->server = std::make_unique<server::Server>(f->db.get(),
+                                               server::ServerOptions());
+  Status started = f->server->Start();
+  EXPECT_TRUE(started.ok()) << started.ToString();
+  return f;
 }
+
+/// Owns the server shared by the tests below: started on first use (the
+/// binary holds other suites that never need it) and shut down at global
+/// tear-down, so no server thread outlives the test program.
+class ServerEnvironment : public ::testing::Environment {
+ public:
+  ServerFixture& Get() {
+    if (fixture_ == nullptr) fixture_ = MakeFixture();
+    return *fixture_;
+  }
+
+  void TearDown() override {
+    if (fixture_ == nullptr) return;
+    fixture_->server->Shutdown();
+    fixture_.reset();
+  }
+
+ private:
+  std::unique_ptr<ServerFixture> fixture_;
+};
+
+ServerEnvironment* const kServerEnvironment =
+    static_cast<ServerEnvironment*>(
+        ::testing::AddGlobalTestEnvironment(new ServerEnvironment));
+
+ServerFixture& Fixture() { return kServerEnvironment->Get(); }
 
 std::string QueryTarget(const std::string& doc, const std::string& xpath,
                         const std::string& extra = "") {
