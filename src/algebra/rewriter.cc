@@ -526,17 +526,8 @@ size_t SimplifyScalar(Scalar* scalar, SimplifyCtx* ctx) {
 
 }  // namespace
 
-size_t SimplifyPlan(OpPtr* plan, RewriteLog* log, bool limit_pushdown) {
-  obs::ScopedSpan span("compile/rewrite");
-  SimplifyCtx ctx;
-  ctx.root = plan;
-  ctx.log = log;
-  ctx.limit_pushdown = limit_pushdown;
-  return SimplifyNode(plan, &ctx);
-}
-
-StatusOr<size_t> SimplifyPlanChecked(OpPtr* plan, RewriteLog* log,
-                                     bool limit_pushdown) {
+StatusOr<size_t> SimplifyPlan(OpPtr* plan, RewriteLog* log,
+                              bool limit_pushdown) {
   obs::ScopedSpan span("compile/rewrite");
   SimplifyCtx ctx;
   ctx.root = plan;

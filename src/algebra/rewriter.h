@@ -70,20 +70,17 @@ using RewriteLog = std::vector<RewriteEvent>;
 /// Returns the number of operators removed or replaced; each rule
 /// application is appended to `log` (when non-null) with the proving
 /// property. Also rewrites nested subplans inside scalar subscripts.
-size_t SimplifyPlan(OpPtr* plan, RewriteLog* log = nullptr,
-                    bool limit_pushdown = true);
-
-/// Like SimplifyPlan, but when plan verification is enabled
-/// (analysis::VerificationEnabled — on by default in debug builds) every
-/// rule application is re-checked: Layer 1 re-verifies well-formedness
-/// of the whole plan, and the Layer-1.5 property-preservation pass
-/// re-infers the rewritten subtree's properties and fails if the rule
-/// weakened them (order, duplicate-freedom, nesting, cardinality, node
-/// class). A violation aborts rewriting and names the offending rule,
-/// instead of letting a malformed or semantics-changing plan flow on to
-/// code generation.
-StatusOr<size_t> SimplifyPlanChecked(OpPtr* plan, RewriteLog* log = nullptr,
-                                     bool limit_pushdown = true);
+///
+/// When plan verification is enabled (analysis::VerificationEnabled — on
+/// by default in debug builds) every rule application is re-checked:
+/// Layer 1 re-verifies well-formedness of the whole plan, and the
+/// Layer-1.5 property-preservation pass re-infers the rewritten
+/// subtree's properties and fails if the rule weakened them (order,
+/// duplicate-freedom, nesting, cardinality, node class). A violation
+/// aborts rewriting and names the offending rule, instead of letting a
+/// malformed or semantics-changing plan flow on to code generation.
+StatusOr<size_t> SimplifyPlan(OpPtr* plan, RewriteLog* log = nullptr,
+                              bool limit_pushdown = true);
 
 }  // namespace natix::algebra
 

@@ -27,7 +27,9 @@
 // surface the property-justified plan rewrites use), and the Layer-3
 // verifier re-runs after every pass that changed the program: a pass
 // that emits a malformed program aborts compilation instead of reaching
-// execution — analysis claims are checked, not trusted.
+// execution — analysis claims are checked, not trusted. The final frame
+// shrink and constant-pool compaction are checked by the caller, which
+// verifies every program once after its last change (qe/codegen.cc).
 
 namespace natix::analysis {
 

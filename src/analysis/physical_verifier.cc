@@ -1,7 +1,32 @@
+// Layers 2 and 4 of the static plan verifier, in one walk over the
+// lowered plan (model in physical_model.h, effect declarations recorded by
+// the code generator). Each node is visited once; the walk carries the
+// Layer-2 register definitions and the Layer-4 close guarantee together.
+//
+// Layer 2 proves register dataflow under the open/next protocol. Layer 4
+// proves three resource properties on every control path — including
+// early Close injected by the Limit operator and the deadline/cancel abort
+// paths of the drain loop, both of which reduce to "the root is Closed
+// early":
+//
+//   1. Close-reachability: every node whose subtree holds resources is
+//      guaranteed to end closed whenever the plan root is Closed.
+//   2. Page-pin balance: storage cursors (which hold page pins between
+//      Next calls) are released by Close.
+//   3. Spool lifetime containment: group/full spools die with Close;
+//      only keyed memo state (MemoX, chi^mat, id-deref indexes) may
+//      persist, bounded by the execution context.
+//
+// The runtime cross-check of Layer 4 lives in the execution context's
+// resource ledger (src/qe/exec_context.h), armed together with the
+// property oracle for every execution of a verified plan.
+
+#include <string>
 #include <vector>
 
+#include "algebra/properties.h"
+#include "analysis/fusability.h"
 #include "analysis/plan_verifier.h"
-#include "obs/trace.h"
 
 namespace natix::analysis {
 
@@ -33,9 +58,33 @@ Status Malformed(const PhysNode& node, const std::string& detail) {
                           detail);
 }
 
-class PhysicalVerifier {
+Status Violation(const PhysNode& node, const std::string& detail) {
+  return Status::Internal("plan verifier (resources): " + node.label + ": " +
+                          detail);
+}
+
+/// Whether the subtree rooted at `node` holds any resource that an
+/// unreached Close would leak (cursor pins or a non-memo spool). Memo
+/// spools are excluded: they survive Close by design and are reclaimed
+/// with the execution context.
+bool SubtreeHoldsResources(const PhysNode& node) {
+  if (node.effects.holds_cursor) return true;
+  if (node.effects.spool == SpoolKind::kGroup ||
+      node.effects.spool == SpoolKind::kFull) {
+    return true;
+  }
+  for (const auto& child : node.children) {
+    if (SubtreeHoldsResources(*child)) return true;
+  }
+  for (const NestedSite& site : node.nested) {
+    if (SubtreeHoldsResources(*site.plan)) return true;
+  }
+  return false;
+}
+
+class LoweredVerifier {
  public:
-  explicit PhysicalVerifier(const PhysicalModel& model) : model_(model) {}
+  explicit LoweredVerifier(const PhysicalModel& model) : model_(model) {}
 
   Status Run() {
     if (model_.root == nullptr) {
@@ -46,7 +95,11 @@ class PhysicalVerifier {
       NATIX_RETURN_IF_ERROR(CheckBounds(*model_.root, reg, "context"));
       defs.Add(reg);
     }
-    NATIX_RETURN_IF_ERROR(Visit(*model_.root, &defs));
+    // The drain loop Closes the root on every path (success, limit
+    // early-exit, cancellation, error) — the root is close-reachable by
+    // construction.
+    NATIX_RETURN_IF_ERROR(
+        Visit(*model_.root, /*close_guaranteed=*/true, &defs));
     if (model_.result_reg >= model_.register_count ||
         !defs.Has(model_.result_reg)) {
       return Status::Internal(
@@ -70,53 +123,112 @@ class PhysicalVerifier {
     return Status::OK();
   }
 
-  /// Walks the iterator model; on return `defs` holds the registers
-  /// definitely written whenever this node has produced a tuple.
-  Status Visit(const PhysNode& node, DefSet* defs) {
-    const DefSet defs_in = *defs;
-
-    // Child evaluation order under the open/next protocol.
+  /// Layer 2: the child count each kind's open/next protocol expects.
+  static Status CheckShape(const PhysNode& node) {
+    const size_t n = node.children.size();
     switch (node.kind) {
       case PhysNodeKind::kLeaf:
-        if (!node.children.empty()) {
-          return Malformed(node, "leaf node has children");
-        }
+        if (n != 0) return Malformed(node, "leaf node has children");
         break;
       case PhysNodeKind::kPipeline:
       case PhysNodeKind::kBarrier:
-        if (node.children.size() != 1) {
-          return Malformed(node, "expects exactly one child");
-        }
-        NATIX_RETURN_IF_ERROR(Visit(*node.children[0], defs));
+        if (n != 1) return Malformed(node, "expects exactly one child");
         break;
       case PhysNodeKind::kDependent:
-      case PhysNodeKind::kDependentLeft: {
-        if (node.children.size() != 2) {
-          return Malformed(node, "expects exactly two children");
-        }
+      case PhysNodeKind::kDependentLeft:
+        if (n != 2) return Malformed(node, "expects exactly two children");
+        break;
+      case PhysNodeKind::kConcat:
+        if (n == 0) return Malformed(node, "expects at least one child");
+        break;
+    }
+    return Status::OK();
+  }
+
+  /// Layer 4: the node's own obligations, and that a Close reaches it
+  /// if its subtree holds resources. The local obligations apply even
+  /// to nodes that are not close-guaranteed: a probe-contained subtree
+  /// still goes through its own Close, which must balance.
+  static Status CheckEffects(const PhysNode& node, bool close_guaranteed) {
+    const ResourceEffects& fx = node.effects;
+    if (fx.child_close.size() != node.children.size()) {
+      return Violation(node,
+                       "declares " + std::to_string(fx.child_close.size()) +
+                           " child-close modes for " +
+                           std::to_string(node.children.size()) + " children");
+    }
+    if (fx.holds_cursor && !fx.cursor_released_on_close) {
+      return Violation(node,
+                       "holds a storage cursor but does not release it on "
+                       "Close — page pins survive early exit "
+                       "(pin-balance violation)");
+    }
+    if ((fx.spool == SpoolKind::kGroup || fx.spool == SpoolKind::kFull) &&
+        !fx.spool_released_on_close) {
+      return Violation(node,
+                       std::string("keeps a ") + SpoolKindName(fx.spool) +
+                           " spool that Close does not drop "
+                           "(spool-containment violation)");
+    }
+    if (fx.spool == SpoolKind::kNone && fx.spool_released_on_close) {
+      return Violation(node, "declares a spool release but no spool");
+    }
+    // A resource-holding subtree behind a kNone edge is never Closed when
+    // the plan aborts between Next calls.
+    if (!close_guaranteed && SubtreeHoldsResources(node)) {
+      return Violation(node,
+                       "subtree holds resources but no Close reaches it on "
+                       "the abort path (close-on-all-paths violation)");
+    }
+    return Status::OK();
+  }
+
+  /// Visits `node` and its subtree once for both layers. On entry `defs`
+  /// holds the registers definitely written when the node is opened; on
+  /// return, those definitely written whenever it has produced a tuple.
+  /// `close_guaranteed`: the node ends closed whenever the root is Closed.
+  Status Visit(const PhysNode& node, bool close_guaranteed, DefSet* defs) {
+    NATIX_RETURN_IF_ERROR(CheckShape(node));
+    NATIX_RETURN_IF_ERROR(CheckEffects(node, close_guaranteed));
+
+    // Children in evaluation order under the open/next protocol. A
+    // kOnClose child inherits this node's guarantee (or, where CheckEffects
+    // just proved the subtree resource-free, needs none); a
+    // probe-contained child is balanced inside each Next call, so an
+    // external Close never finds it open; a kNone child inherits nothing.
+    auto visit_child = [&](size_t i, DefSet* child_defs) {
+      return Visit(*node.children[i],
+                   node.effects.child_close[i] != ChildClose::kNone,
+                   child_defs);
+    };
+    const DefSet defs_in = *defs;
+    DefSet left(0);
+    switch (node.kind) {
+      case PhysNodeKind::kLeaf:
+        break;
+      case PhysNodeKind::kPipeline:
+      case PhysNodeKind::kBarrier:
+        NATIX_RETURN_IF_ERROR(visit_child(0, defs));
+        break;
+      case PhysNodeKind::kDependent:
+      case PhysNodeKind::kDependentLeft:
         // The dependent right side opens after the left produced a
         // tuple, so it sees the left side's definitions.
-        NATIX_RETURN_IF_ERROR(Visit(*node.children[0], defs));
-        NATIX_RETURN_IF_ERROR(Visit(*node.children[1], defs));
+        NATIX_RETURN_IF_ERROR(visit_child(0, defs));
+        left = *defs;
+        NATIX_RETURN_IF_ERROR(visit_child(1, defs));
         break;
-      }
-      case PhysNodeKind::kConcat: {
-        if (node.children.empty()) {
-          return Malformed(node, "expects at least one child");
-        }
-        DefSet meet(model_.register_count);
+      case PhysNodeKind::kConcat:
         for (size_t i = 0; i < node.children.size(); ++i) {
           DefSet branch = defs_in;
-          NATIX_RETURN_IF_ERROR(Visit(*node.children[i], &branch));
+          NATIX_RETURN_IF_ERROR(visit_child(i, &branch));
           if (i == 0) {
-            meet = branch;
+            *defs = branch;
           } else {
-            meet.IntersectWith(branch);
+            defs->IntersectWith(branch);
           }
         }
-        *defs = meet;
         break;
-      }
     }
 
     // Reads resolve against the definitions available once the last
@@ -138,10 +250,13 @@ class PhysicalVerifier {
     }
 
     // Nested subscript plans run per tuple at this site and see the same
-    // definitions the subscript sees.
+    // definitions the subscript sees. They are opened, drained and closed
+    // inside one subscript evaluation on every path (subscripts.cc), i.e.
+    // probe-contained by construction.
     for (const NestedSite& site : node.nested) {
       DefSet nested_defs = *defs;
-      NATIX_RETURN_IF_ERROR(Visit(*site.plan, &nested_defs));
+      NATIX_RETURN_IF_ERROR(
+          Visit(*site.plan, /*close_guaranteed=*/true, &nested_defs));
       NATIX_RETURN_IF_ERROR(CheckBounds(node, site.input, "nested input"));
       if (!nested_defs.Has(site.input)) {
         return Malformed(node,
@@ -153,13 +268,10 @@ class PhysicalVerifier {
 
     // Output definitions.
     switch (node.kind) {
-      case PhysNodeKind::kDependentLeft: {
-        // Only the left tuple survives: recompute from the left branch.
-        DefSet left = defs_in;
-        NATIX_RETURN_IF_ERROR(VisitDefsOnly(*node.children[0], &left));
-        *defs = left;
+      case PhysNodeKind::kDependentLeft:
+        // Only the left tuple survives.
+        *defs = std::move(left);
         break;
-      }
       case PhysNodeKind::kBarrier:
         *defs = defs_in;
         break;
@@ -171,12 +283,6 @@ class PhysicalVerifier {
       defs->Add(reg);
     }
     return Status::OK();
-  }
-
-  /// Definition-propagation-only re-walk (no re-checking) used to
-  /// recover the left branch's definition set.
-  Status VisitDefsOnly(const PhysNode& node, DefSet* defs) {
-    return Visit(node, defs);
   }
 
   const PhysicalModel& model_;
@@ -202,18 +308,53 @@ const char* PhysNodeKindName(PhysNodeKind kind) {
   return "?";
 }
 
-Status VerifyPhysical(const PhysicalModel& model) {
-  obs::ScopedSpan span("compile/verify", "physical");
-  NATIX_RETURN_IF_ERROR(PhysicalVerifier(model).Run());
-  // Layer 3 sweep over every subscript program the plan embeds.
-  for (const auto& [site, program] : model.programs) {
-    Status st = VerifyProgram(program, model.register_count,
-                              model.nested_count);
-    if (!st.ok()) {
-      return Status::Internal(st.message() + " (subscript of " + site + ")");
-    }
+const char* SpoolKindName(SpoolKind kind) {
+  switch (kind) {
+    case SpoolKind::kNone:
+      return "none";
+    case SpoolKind::kGroup:
+      return "group";
+    case SpoolKind::kFull:
+      return "full";
+    case SpoolKind::kMemo:
+      return "memo";
   }
-  return Status::OK();
+  return "?";
+}
+
+const char* ChildCloseName(ChildClose mode) {
+  switch (mode) {
+    case ChildClose::kNone:
+      return "none";
+    case ChildClose::kOnClose:
+      return "on-close";
+    case ChildClose::kProbeContained:
+      return "probe-contained";
+  }
+  return "?";
+}
+
+Status VerifyLowered(const PhysicalModel& model) {
+  return LoweredVerifier(model).Run();
+}
+
+StatusOr<std::string> VerifyPrepared(
+    const translate::TranslationResult& translation,
+    const Segmentation& segments, const PhysicalModel& lowered,
+    size_t annotated_operators, size_t nvm_rewrites) {
+  NATIX_RETURN_IF_ERROR(VerifyLowered(lowered));
+  NATIX_RETURN_IF_ERROR(VerifySegments(*translation.plan, segments));
+  return "VERIFIED (logical: " +
+         std::to_string(algebra::PlanSize(*translation.plan)) +
+         " operators; physical: " + std::to_string(lowered.register_count) +
+         " registers; nvm: " + std::to_string(lowered.programs.size()) +
+         " subscript programs; properties: " +
+         std::to_string(annotated_operators) + " operators annotated, " +
+         std::to_string(translation.rewrites.size()) +
+         " property-justified rewrites; nvm optimizer: " +
+         std::to_string(nvm_rewrites) +
+         " bytecode rewrites; resources: pin-balanced, "
+         "close-on-all-paths)";
 }
 
 }  // namespace natix::analysis

@@ -5,39 +5,46 @@
 #include <string>
 
 #include "algebra/operator.h"
+#include "analysis/fusability.h"
 #include "analysis/physical_model.h"
 #include "base/status.h"
+#include "base/statusor.h"
 #include "nvm/program.h"
 #include "translate/translator.h"
 
 namespace natix::analysis {
 
-/// The three-layer static plan verifier. Every layer is a pure analysis:
-/// it never mutates its input and reports the first violation through
-/// Status (code kInternal — a malformed plan is a compiler bug, never a
-/// user error). The layers mirror the compiler pipeline of Sec. 5.1:
+/// The static plan verifier. Every layer is a pure analysis: it never
+/// mutates its input and reports the first violation through Status (code
+/// kInternal — a malformed plan is a compiler bug, never a user error).
+/// Each check runs once, where the object it checks last changes
+/// (docs/PLAN-VERIFIER.md lists the hooks):
 ///
-///   Layer 1 (logical)    — well-formedness of the algebra Operator tree
-///                          produced by translation and rewriting,
+///   Layer 1 (logical)    — well-formedness of the algebra Operator tree;
+///                          after translation and after every rewrite
+///                          rule (algebra::SimplifyPlan),
 ///   Layer 1.5 (property) — every rewrite rule must preserve the
 ///                          statically inferred stream properties
-///                          (property_inference.h); run by
-///                          algebra::SimplifyPlanChecked after each rule,
-///   Layer 2 (physical)   — register dataflow of the compiled iterator
-///                          tree under the open/next protocol,
-///   Layer 3 (NVM)        — bytecode well-formedness of every compiled
-///                          subscript program,
-///   Layer 4 (resources)  — resource-effect abstract interpretation over
-///                          the iterator tree: page-pin balance,
-///                          Tmp^cs/MemoX spool lifetime containment, and
-///                          Close-reachability on all control paths
-///                          (docs/STATIC-ANALYSIS.md).
+///                          (property_inference.h); after every rule,
+///   Layer 3 (NVM)        — bytecode well-formedness of each compiled
+///                          subscript program; after every NVM optimizer
+///                          pass that changed it, and once after its last
+///                          change, in every build,
+///   Layers 2 and 4       — register dataflow under the open/next
+///                          protocol, and resource effects (page-pin
+///                          balance, Tmp^cs/MemoX spool containment,
+///                          Close-reachability; docs/STATIC-ANALYSIS.md),
+///                          in one walk over the lowered plan at Prepare
+///                          (VerifyPrepared, with the segmentation
+///                          self-check).
 ///
 /// Verification is on by default in debug builds and opt-in in release
 /// builds (natixq --verify-plans, SetVerificationEnabled(true), or the
-/// NATIX_VERIFY_PLANS environment variable). When enabled it also arms
-/// the runtime property oracle (src/qe/property_oracle.h), which
-/// cross-checks the static claims against actual tuples.
+/// NATIX_VERIFY_PLANS environment variable). Codegen::Prepare reads the
+/// switch once per plan; every execution of a verified plan also runs
+/// the runtime property oracle (src/qe/property_oracle.h) and the
+/// resource ledger, which cross-check the static claims against actual
+/// tuples and resources.
 
 /// Whether the Translator / Rewriter / Codegen hooks run the verifier.
 bool VerificationEnabled();
@@ -72,30 +79,24 @@ Status VerifyTranslation(const translate::TranslationResult& translation);
 std::set<std::string> ExecutionContextAttributes();
 
 // ---------------------------------------------------------------------------
-// Layer 2: physical register dataflow (model in physical_model.h)
+// Layers 2 and 4: the lowered plan (model in physical_model.h)
 // ---------------------------------------------------------------------------
 
-/// Verifies the register dataflow of the lowered plan the code generator
-/// keeps in the template, the plan every execution instantiates. Checked
-/// invariants:
+/// Verifies the lowered plan the code generator keeps in the template,
+/// the plan every execution instantiates, in one walk that visits each
+/// node once. Layer 2 (register dataflow, "plan verifier (physical)"):
 ///   * every register index (reads, writes, row lists) is within the
 ///     register file,
 ///   * every register read is dominated by a write under the open/next
 ///     protocol (dependent branches see the outer side's definitions,
-///     concat consumers see only the intersection of branch definitions),
+///     concat consumers see only the intersection of branch definitions,
+///     only the left side's definitions survive a dependent-left node),
 ///   * SaveRow/RestoreRow register lists are within the register file
 ///     (definedness is not required: snapshot and restore are symmetric,
 ///     so a never-written register round-trips its initial null),
 ///   * the result register is defined at the plan root.
-Status VerifyPhysical(const PhysicalModel& model);
-
-// ---------------------------------------------------------------------------
-// Layer 4: resource effects (declarations in physical_model.h)
-// ---------------------------------------------------------------------------
-
-/// Verifies the declared resource effects of the compiled iterator tree.
-/// Abstract interpretation over the open/next/close protocol; checked
-/// invariants, each failure naming the offending operator:
+/// Layer 4 (declared resource effects, "plan verifier (resources)"),
+/// each failure naming the offending operator:
 ///   * effect arity: every child has a declared ChildClose mode,
 ///   * Close-reachability: every node whose subtree holds resources
 ///     (cursors or spools) is guaranteed to be Closed on all control
@@ -109,7 +110,17 @@ Status VerifyPhysical(const PhysicalModel& model);
 ///   * spool lifetime containment: kGroup/kFull spools must be dropped
 ///     on Close; only keyed kMemo state may outlive a Close, and it is
 ///     bounded by the execution context.
-Status VerifyResources(const PhysicalModel& model);
+Status VerifyLowered(const PhysicalModel& model);
+
+/// The verification pass Codegen::Prepare runs once per plan when
+/// verification is on: VerifyLowered over `lowered`, then the
+/// segmentation self-check of `segments` against the translated plan
+/// (VerifySegments). Returns the one-line verdict the template reports;
+/// `annotated_operators` and `nvm_rewrites` are quoted in it.
+StatusOr<std::string> VerifyPrepared(
+    const translate::TranslationResult& translation,
+    const Segmentation& segments, const PhysicalModel& lowered,
+    size_t annotated_operators, size_t nvm_rewrites);
 
 // ---------------------------------------------------------------------------
 // Layer 3: NVM subscript programs

@@ -85,7 +85,7 @@ class PreparedQuery : public std::enable_shared_from_this<PreparedQuery> {
     return plan_->physical_plan();
   }
 
-  /// One-line verdict of the static plan verifier (Layers 1-4).
+  /// One-line verdict of the static plan verifier.
   const std::string& VerificationReport() const {
     return plan_->verification();
   }

@@ -179,7 +179,8 @@ class PhysicalPrinter {
 /// plan into its physical plan (analysis::PhysicalModel), once, at
 /// Prepare: the attribute manager assigns registers, node-test names are
 /// resolved against the store's dictionary, every subscript is compiled
-/// to NVM code and optimized, and the result is rendered and verified.
+/// to NVM code, optimized and verified (Layer 3), and the result is
+/// rendered and, if the template is verified, verified (Layers 2 and 4).
 /// Every execution context is later built from the lowered plan alone.
 class CodegenImpl {
  public:
@@ -189,10 +190,10 @@ class CodegenImpl {
         store_(tmpl->store_),
         props_(props) {}
 
-  /// Lowers the plan into the template, renders the physical plan and
-  /// runs the static verifier (Layers 1-4) over the lowered plan.
-  /// Violations fail compilation: a malformed plan must never reach
-  /// execution.
+  /// Lowers the plan into the template, renders the physical plan and,
+  /// with verification on, runs the one verification pass over the
+  /// lowered plan. Violations fail compilation: a malformed plan must
+  /// never reach execution.
   Status Run() {
     const translate::TranslationResult& translation = tmpl_.translation_;
     // Reserved execution-context attributes (the paper's top-level map).
@@ -217,7 +218,7 @@ class CodegenImpl {
     // Under verification, the oracle also guards the root stream's
     // statically inferred claims across the whole execution (operators
     // inside dependent branches only assert per re-evaluation).
-    if (analysis::VerificationEnabled() && node_set &&
+    if (tmpl_.verified_ && node_set &&
         (ordered || result_props.duplicate_free)) {
       root.node->oracles.push_back({model_.result_reg, ordered,
                                     result_props.duplicate_free, 0,
@@ -234,29 +235,17 @@ class CodegenImpl {
     tmpl_.rewrites_.insert(tmpl_.rewrites_.end(), nvm_rewrites_.begin(),
                            nvm_rewrites_.end());
 
-    obs::ScopedSpan verify_span(
-        "compile/verify",
-        analysis::VerificationEnabled() ? "layers 1-4" : "skipped");
-    if (!analysis::VerificationEnabled()) {
+    obs::ScopedSpan verify_span("compile/verify",
+                                tmpl_.verified_ ? "lowered plan" : "skipped");
+    if (!tmpl_.verified_) {
       tmpl_.verification_ =
           "not verified (release build; enable with --verify-plans)";
       return Status::OK();
     }
-    NATIX_RETURN_IF_ERROR(analysis::VerifyTranslation(translation));
-    NATIX_RETURN_IF_ERROR(analysis::VerifyPhysical(model_));
-    NATIX_RETURN_IF_ERROR(analysis::VerifyResources(model_));
-    tmpl_.verification_ =
-        "VERIFIED (logical: " +
-        std::to_string(algebra::PlanSize(*translation.plan)) +
-        " operators; physical: " + std::to_string(next_register_) +
-        " registers; nvm: " + std::to_string(model_.programs.size()) +
-        " subscript programs; properties: " + std::to_string(props_.size()) +
-        " operators annotated, " +
-        std::to_string(translation.rewrites.size()) +
-        " property-justified rewrites; nvm optimizer: " +
-        std::to_string(nvm_rewrites_.size()) +
-        " bytecode rewrites; resources: pin-balanced, "
-        "close-on-all-paths)";
+    NATIX_ASSIGN_OR_RETURN(
+        tmpl_.verification_,
+        analysis::VerifyPrepared(translation, tmpl_.segmentation_, model_,
+                                 props_.size(), nvm_rewrites_.size()));
     return Status::OK();
   }
 
@@ -331,6 +320,14 @@ class CodegenImpl {
           &program, host->label, next_register_, nested_count_,
           &nvm_rewrites_));
     }
+    // Layer 3, once, after the program's last change, under the bounds
+    // in force here: the registers and nested plans bound so far.
+    if (Status st = analysis::VerifyProgram(program, next_register_,
+                                            nested_count_);
+        !st.ok()) {
+      return Status::Internal(st.message() + " (subscript of " +
+                              host->label + ")");
+    }
     tmpl_.nvm_listing_after_ += "== " + host->label + " ==\n" +
                                 analysis::RenderNvmProgram(program);
     tmpl_.nvm_insns_after_ += program.code.size();
@@ -383,7 +380,7 @@ class CodegenImpl {
   /// duplicate-freedom claims of op.attr against the actual tuples.
   /// Transparent: no stats node, no register writes.
   void AddOracle(const Operator& op, PhysNode* node) {
-    if (!analysis::VerificationEnabled()) return;
+    if (!tmpl_.verified_) return;
     if (op.kind == OpKind::kLimit) {
       AddLimitOracle(op, node);
       return;
@@ -777,6 +774,9 @@ StatusOr<std::unique_ptr<PlanTemplate>> Codegen::Prepare(
   obs::ScopedSpan span("compile/codegen");
   std::unique_ptr<PlanTemplate> tmpl(new PlanTemplate());
   tmpl->store_ = store;
+  // The one read of the switch: the plan's verification, its oracle
+  // wrappers and every execution's resource ledger follow it.
+  tmpl->verified_ = analysis::VerificationEnabled();
 
   // Static property inference over the logical plan (ordering,
   // duplicate-freedom, cardinality, node classes). The annotations drive
@@ -795,10 +795,6 @@ StatusOr<std::unique_ptr<PlanTemplate>> Codegen::Prepare(
   // fusion compiler's work list, surfaced through --explain and
   // --explain-json.
   tmpl->segmentation_ = analysis::SegmentPlan(*translation.plan);
-  if (analysis::VerificationEnabled()) {
-    NATIX_RETURN_IF_ERROR(
-        analysis::VerifySegments(*translation.plan, tmpl->segmentation_));
-  }
   tmpl->segments_text_ = analysis::RenderSegments(tmpl->segmentation_);
   std::string plan_json = analysis::PlanToJson(*translation.plan);
   while (!plan_json.empty() && plan_json.back() == '\n') plan_json.pop_back();

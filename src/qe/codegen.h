@@ -18,8 +18,9 @@ namespace natix::qe {
 ///
 /// Lowering happens once per query, in Prepare(): property inference,
 /// register assignment, node-test name resolution, NVM subscript
-/// compilation and optimization, static verification (Layers 1-4) and
-/// explain rendering. The result is an immutable PlanTemplate holding the
+/// compilation, optimization and verification (Layer 3), the one
+/// verification pass over the lowered plan (Layers 2 and 4) and explain
+/// rendering. The result is an immutable PlanTemplate holding the
 /// lowered plan; PlanTemplate::NewContext() instantiates it per
 /// execution by walking that plan and allocating iterators.
 class Codegen {

@@ -23,8 +23,6 @@ namespace internal {
 class Instantiator;
 }  // namespace internal
 
-class PlanTemplate;
-
 /// The per-execution half of a compiled query: one iterator tree
 /// instantiated from a PlanTemplate together with everything the tree
 /// mutates while running — the plan-wide register file (the attribute
@@ -63,10 +61,6 @@ class ExecutionContext {
   StatusOr<runtime::Value> ExecuteValue();
 
   xpath::ExprType result_type() const { return result_type_; }
-
-  /// The template this context was instantiated from (null for bare
-  /// contexts built directly in operator unit tests).
-  const PlanTemplate* plan() const { return template_; }
 
   /// Ablation knob (benchmarks, differential tests): when set, ordered
   /// evaluations sort the result even if inference proved the stream
@@ -111,9 +105,10 @@ class ExecutionContext {
 
   /// Runtime cross-check of the static Layer-4 resource claims
   /// (docs/STATIC-ANALYSIS.md): counts active storage cursors (page-pin
-  /// holders) and live non-memo spool rows. Armed together with the
-  /// property oracle when verification is enabled; the Ledger* helpers
-  /// are single-branch no-ops otherwise.
+  /// holders) and live non-memo spool rows. Armed for every execution of
+  /// a plan prepared under verification (PlanTemplate::verified), which
+  /// also runs the property oracle; the Ledger* helpers are single-branch
+  /// no-ops otherwise.
   struct ResourceLedger {
     /// Cursors currently holding page pins between Next calls.
     int64_t cursors_active = 0;
@@ -166,7 +161,6 @@ class ExecutionContext {
  private:
   friend class internal::Instantiator;
 
-  const PlanTemplate* template_ = nullptr;
   IteratorPtr root_;
   NestedTable nested_;
   std::unique_ptr<obs::QueryStats> stats_;

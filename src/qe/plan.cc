@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <optional>
 
-#include "analysis/plan_verifier.h"
 #include "base/logging.h"
 #include "obs/trace.h"
 #include "qe/operators.h"
@@ -27,12 +26,11 @@ class Instantiator {
       : tmpl_(tmpl), model_(tmpl.lowered_plan()), ctx_(ctx) {}
 
   void Run(bool collect_stats) {
-    ctx_->template_ = &tmpl_;
     ctx_->eval_ctx.store = tmpl_.store();
     // The runtime half of Layer 4: the resource ledger cross-checks the
-    // static pin-balance / spool-containment proof on every execution,
-    // abort paths included.
-    if (analysis::VerificationEnabled()) ctx_->ArmResourceLedger();
+    // static pin-balance / spool-containment proof on every execution of
+    // a verified plan, abort paths included.
+    if (tmpl_.verified()) ctx_->ArmResourceLedger();
     if (collect_stats) {
       ctx_->stats_ = std::make_unique<obs::QueryStats>();
       qstats_ = ctx_->stats_.get();

@@ -33,8 +33,9 @@ class Codegen;
 /// dictionary at Prepare; nothing here is mutated by execution.
 ///
 /// Codegen::Prepare lowers the plan exactly once: it fixes the register
-/// assignment, resolves attribute and node-test names, compiles and
-/// optimizes every subscript, and verifies the result (Layers 1-4). Each
+/// assignment, resolves attribute and node-test names, compiles,
+/// optimizes and verifies every subscript (Layer 3), and, under
+/// verification, verifies the lowered plan (Layers 2 and 4). Each
 /// execution then instantiates a fresh ExecutionContext by walking the
 /// lowered plan and allocating one iterator per node over a private
 /// register file; subscripts borrow their programs from the template.
@@ -66,9 +67,14 @@ class PlanTemplate {
   const std::string& physical_plan() const { return physical_plan_; }
 
   /// One-line verdict of the static plan verifier: "VERIFIED (...)" when
-  /// all four layers passed, or a note that verification was skipped
+  /// all layers passed, or a note that verification was skipped
   /// (violations never reach a PlanTemplate — compilation fails instead).
   const std::string& verification() const { return verification_; }
+
+  /// Whether the plan was prepared under verification. Its executions
+  /// then run the property-oracle wrappers recorded in the lowered plan
+  /// and an armed resource ledger.
+  bool verified() const { return verified_; }
 
   /// The logical plan annotated with the inferred stream properties
   /// (ordering, duplicate-freedom, cardinality, node class) per operator.
@@ -110,8 +116,8 @@ class PlanTemplate {
   /// redundant.
   bool result_document_ordered() const { return result_document_ordered_; }
 
-  /// The lowered physical plan NewContext instantiates and Layers 2-4
-  /// verified: operator tree, register layout, subscript programs.
+  /// The lowered physical plan NewContext instantiates and the verifier
+  /// checked: operator tree, register layout, subscript programs.
   const analysis::PhysicalModel& lowered_plan() const { return lowered_; }
 
   const storage::NodeStore* store() const { return store_; }
@@ -128,6 +134,7 @@ class PlanTemplate {
   std::string logical_plan_;
   std::string physical_plan_;
   std::string verification_;
+  bool verified_ = false;
   std::string properties_plan_;
   std::string properties_json_;
   analysis::Segmentation segmentation_;

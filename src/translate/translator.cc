@@ -747,12 +747,12 @@ StatusOr<TranslationResult> Translate(const xpath::Expr& root,
     NATIX_RETURN_IF_ERROR(analysis::VerifyTranslation(result));
   }
   if (options.simplify_plan) {
-    // The checked simplifier re-verifies after every rule application
-    // (when verification is enabled) and names the offending rule.
-    NATIX_RETURN_IF_ERROR(algebra::SimplifyPlanChecked(
-                              &result.plan, &result.rewrites,
+    // The simplifier re-verifies after every rule application (when
+    // verification is enabled) and names the offending rule.
+    NATIX_RETURN_IF_ERROR(
+        algebra::SimplifyPlan(&result.plan, &result.rewrites,
                               options.limit_pushdown)
-                              .status());
+            .status());
   }
   if (options.result_limit > 0 && result.type == ExprType::kNodeSet) {
     // Paginated serving: cap the result at the first result_limit nodes

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <utility>
 
 namespace natix {
 namespace {
@@ -64,10 +65,13 @@ TEST(DatabaseTest, ExecutionIsReusableAcrossContexts) {
 
 TEST(DatabaseTest, QueriesAtTheSizeBoundPrepareAndExecute) {
   // The largest shapes the parser admits (128 levels of nesting, 256
-  // steps plus predicates): one step with 126 predicates, and 127 steps
-  // with one predicate each. Lowering and instantiation recurse once per
-  // plan operator, so both must also fit the main thread's stack in a
-  // Debug sanitizer build.
+  // steps plus predicates): one step with 126 predicates, 127 steps
+  // with one predicate each, and 42 comparisons nested in predicates
+  // (each level a semi-join over the next). Lowering and instantiation
+  // recurse once per plan operator, so all must also fit the main
+  // thread's stack in a Debug sanitizer build, and verification must
+  // visit each operator once (a re-walk per semi-join level doubles the
+  // work per level).
   auto db = Database::CreateTemp();
   ASSERT_TRUE(db.ok());
   std::string xml = "<r>";
@@ -80,14 +84,19 @@ TEST(DatabaseTest, QueriesAtTheSizeBoundPrepareAndExecute) {
   for (int i = 0; i < 126; ++i) predicates += "[1]";
   std::string steps = "/r";
   for (int i = 0; i < 127; ++i) steps += "/a[1]";
-  for (const std::string& query : {predicates, steps}) {
+  std::string comparisons = "b";
+  for (int i = 0; i < 42; ++i) comparisons = "a[" + comparisons + " = c]";
+  comparisons = "/r/" + comparisons;
+  const std::pair<std::string, size_t> cases[] = {
+      {predicates, 1}, {steps, 1}, {comparisons, 0}};
+  for (const auto& [query, expected] : cases) {
     auto prepared = (*db)->Prepare(query);
     ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
     auto exec = (*prepared)->NewExecution();
     ASSERT_TRUE(exec.ok());
     auto nodes = (*exec)->EvaluateNodes(info->root);
     ASSERT_TRUE(nodes.ok()) << nodes.status().ToString();
-    EXPECT_EQ(nodes->size(), 1u);
+    EXPECT_EQ(nodes->size(), expected);
   }
 }
 

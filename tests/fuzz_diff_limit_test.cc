@@ -24,7 +24,6 @@
 #include <random>
 #include <string>
 
-#include "analysis/plan_verifier.h"
 #include "api/database.h"
 #include "dom/dom_builder.h"
 #include "interp/evaluator.h"
@@ -197,9 +196,6 @@ TEST_P(FuzzDiffLimitTest, CappedPlansAgreeWithBaseline) {
                << "; rerun with NATIX_FUZZ_DIFF_LIMIT=" << BaseSeed());
   std::string xml = RandomDocument(seed * 1549 + 7);
 
-  bool was_enabled = analysis::VerificationEnabled();
-  analysis::SetVerificationEnabled(true);
-
   auto db = Database::CreateTemp();
   ASSERT_TRUE(db.ok());
   auto info = (*db)->LoadDocument("doc", xml);
@@ -243,8 +239,6 @@ TEST_P(FuzzDiffLimitTest, CappedPlansAgreeWithBaseline) {
       }
     }
   }
-
-  analysis::SetVerificationEnabled(was_enabled);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzDiffLimitTest, ::testing::Range(1u, 7u));

@@ -23,7 +23,6 @@
 #include <random>
 #include <string>
 
-#include "analysis/plan_verifier.h"
 #include "api/database.h"
 #include "dom/dom_builder.h"
 #include "interp/evaluator.h"
@@ -94,7 +93,7 @@ class NvmQueryGen {
     }
   }
 
-  std::string Str(int depth) {
+  std::string Str(int /*depth*/) {
     switch (Int(4)) {
       case 0:
         return "'hello'";
@@ -220,9 +219,6 @@ TEST_P(FuzzDiffNvmTest, OptimizedProgramsAgreeWithBaseline) {
                << "; rerun with NATIX_FUZZ_DIFF_NVM=" << BaseSeed());
   std::string xml = RandomDocument(seed * 2027 + 11);
 
-  bool was_enabled = analysis::VerificationEnabled();
-  analysis::SetVerificationEnabled(true);
-
   auto db = Database::CreateTemp();
   ASSERT_TRUE(db.ok());
   auto info = (*db)->LoadDocument("doc", xml);
@@ -266,8 +262,6 @@ TEST_P(FuzzDiffNvmTest, OptimizedProgramsAgreeWithBaseline) {
       }
     }
   }
-
-  analysis::SetVerificationEnabled(was_enabled);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzDiffNvmTest, ::testing::Range(1u, 7u));

@@ -17,7 +17,6 @@
 #include <random>
 #include <string>
 
-#include "analysis/plan_verifier.h"
 #include "api/database.h"
 #include "dom/dom_builder.h"
 #include "interp/evaluator.h"
@@ -152,9 +151,6 @@ TEST_P(FuzzDiffRewriteTest, RewrittenPlansAgreeUnderOracle) {
                << "; rerun with NATIX_FUZZ_DIFF_REWRITE=" << BaseSeed());
   std::string xml = RandomDocument(seed * 1877 + 7);
 
-  bool was_enabled = analysis::VerificationEnabled();
-  analysis::SetVerificationEnabled(true);
-
   auto db = Database::CreateTemp();
   ASSERT_TRUE(db.ok());
   auto info = (*db)->LoadDocument("doc", xml);
@@ -198,8 +194,6 @@ TEST_P(FuzzDiffRewriteTest, RewrittenPlansAgreeUnderOracle) {
       }
     }
   }
-
-  analysis::SetVerificationEnabled(was_enabled);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzDiffRewriteTest,

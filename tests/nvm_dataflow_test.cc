@@ -54,12 +54,15 @@ StatusOr<Value> RunProgram(
                 });
 }
 
-/// Optimizes in place, asserting success, and returns the rewrite log.
+/// Optimizes in place, asserting success and that the final program
+/// verifies (as code generation checks it), and returns the rewrite log.
 algebra::RewriteLog Optimize(Program* program,
                              size_t tuple_register_count = 0) {
   algebra::RewriteLog log;
   Status st = OptimizeNvmProgram(program, "test", tuple_register_count,
                                  /*nested_count=*/0, &log);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  st = VerifyProgram(*program, tuple_register_count, /*nested_count=*/0);
   EXPECT_TRUE(st.ok()) << st.ToString();
   return log;
 }

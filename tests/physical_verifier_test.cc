@@ -62,7 +62,7 @@ TEST(ResourceVerifierTest, RejectsInjectedPinLeak) {
   step->effects.cursor_released_on_close = false;
   step->effects.child_close = {ChildClose::kOnClose};
   step->children.push_back(std::move(scan));
-  ExpectRejected(VerifyResources(WrapRoot(std::move(step))),
+  ExpectRejected(VerifyLowered(WrapRoot(std::move(step))),
                  "UnnestMap[c2@r1]: holds a storage cursor but does not "
                  "release it on Close");
 }
@@ -80,7 +80,7 @@ TEST(ResourceVerifierTest, RejectsMissingCloseOnAbortPath) {
   join->effects.child_close = {ChildClose::kOnClose, ChildClose::kNone};
   join->children.push_back(Node(PhysNodeKind::kLeaf, "SingletonScan"));
   join->children.push_back(std::move(spooler));
-  ExpectRejected(VerifyResources(WrapRoot(std::move(join))),
+  ExpectRejected(VerifyLowered(WrapRoot(std::move(join))),
                  "Sort[r1]: subtree holds resources but no Close reaches "
                  "it on the abort path (close-on-all-paths violation)");
 }
@@ -91,7 +91,7 @@ TEST(ResourceVerifierTest, RejectsUncontainedSpool) {
   spooler->effects.spool_released_on_close = false;
   spooler->effects.child_close = {ChildClose::kOnClose};
   spooler->children.push_back(Node(PhysNodeKind::kLeaf, "SingletonScan"));
-  ExpectRejected(VerifyResources(WrapRoot(std::move(spooler))),
+  ExpectRejected(VerifyLowered(WrapRoot(std::move(spooler))),
                  "TmpCs[cs3]: keeps a group spool that Close does not drop "
                  "(spool-containment violation)");
 }
@@ -101,7 +101,7 @@ TEST(ResourceVerifierTest, RejectsEffectArityMismatch) {
   join->effects.child_close = {ChildClose::kOnClose};  // two children
   join->children.push_back(Node(PhysNodeKind::kLeaf, "SingletonScan"));
   join->children.push_back(Node(PhysNodeKind::kLeaf, "SingletonScan"));
-  ExpectRejected(VerifyResources(WrapRoot(std::move(join))),
+  ExpectRejected(VerifyLowered(WrapRoot(std::move(join))),
                  "DJoin: declares 1 child-close modes for 2 children");
 }
 
@@ -113,7 +113,7 @@ TEST(ResourceVerifierTest, MemoSpoolsMayOutliveClose) {
   memo->effects.spool_released_on_close = false;
   memo->effects.child_close = {ChildClose::kOnClose};
   memo->children.push_back(Node(PhysNodeKind::kLeaf, "SingletonScan"));
-  EXPECT_TRUE(VerifyResources(WrapRoot(std::move(memo))).ok());
+  EXPECT_TRUE(VerifyLowered(WrapRoot(std::move(memo))).ok());
 }
 
 TEST(ResourceVerifierTest, ProbeContainedChildIsSafeWithoutCloseForwarding) {
@@ -130,7 +130,7 @@ TEST(ResourceVerifierTest, ProbeContainedChildIsSafeWithoutCloseForwarding) {
                                ChildClose::kProbeContained};
   semi->children.push_back(Node(PhysNodeKind::kLeaf, "SingletonScan"));
   semi->children.push_back(std::move(probe));
-  EXPECT_TRUE(VerifyResources(WrapRoot(std::move(semi))).ok());
+  EXPECT_TRUE(VerifyLowered(WrapRoot(std::move(semi))).ok());
 }
 
 // ---------------------------------------------------------------------------

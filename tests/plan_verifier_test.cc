@@ -1,4 +1,4 @@
-// Tests for the three-layer static plan verifier: hand-built malformed
+// Tests for the static plan verifier: hand-built malformed
 // plans/models/programs must be rejected with a diagnostic naming the
 // offending operator, register, or opcode; everything the real compiler
 // produces must verify cleanly (also enforced binary-wide by
@@ -181,12 +181,9 @@ TEST(LogicalVerifierTest, RealTranslationsVerify) {
 }
 
 TEST(LogicalVerifierTest, SimplifyPlanCheckedAcceptsRealPlans) {
-  bool was_enabled = VerificationEnabled();
-  SetVerificationEnabled(true);
   auto result = Translate("//a[b]/c[1]");
-  auto removed = algebra::SimplifyPlanChecked(&result.plan);
+  auto removed = algebra::SimplifyPlan(&result.plan);
   EXPECT_TRUE(removed.ok());
-  SetVerificationEnabled(was_enabled);
 }
 
 // ---------------------------------------------------------------------------
@@ -213,9 +210,10 @@ TEST(PhysicalVerifierTest, RejectsOutOfBoundsRead) {
   PhysicalModel model = LeafModel(2);
   PhysNodePtr pipe = Node(PhysNodeKind::kPipeline, "UnnestMap");
   pipe->reads = {5};
+  pipe->effects.child_close = {ChildClose::kOnClose};
   pipe->children.push_back(std::move(model.root));
   model.root = std::move(pipe);
-  ExpectRejected(VerifyPhysical(model),
+  ExpectRejected(VerifyLowered(model),
                  "UnnestMap: read register r5 is out of bounds");
 }
 
@@ -223,16 +221,17 @@ TEST(PhysicalVerifierTest, RejectsReadOfNeverWrittenRegister) {
   PhysicalModel model = LeafModel(2);
   PhysNodePtr pipe = Node(PhysNodeKind::kPipeline, "DupElim");
   pipe->reads = {1};  // nothing writes r1
+  pipe->effects.child_close = {ChildClose::kOnClose};
   pipe->children.push_back(std::move(model.root));
   model.root = std::move(pipe);
-  ExpectRejected(VerifyPhysical(model),
+  ExpectRejected(VerifyLowered(model),
                  "DupElim: reads register r1 before any write dominates it");
 }
 
 TEST(PhysicalVerifierTest, RejectsUndefinedResultRegister) {
   PhysicalModel model = LeafModel(2);
   model.result_reg = 1;
-  ExpectRejected(VerifyPhysical(model),
+  ExpectRejected(VerifyLowered(model),
                  "result register r1 is not defined at the plan root");
 }
 
@@ -242,17 +241,20 @@ TEST(PhysicalVerifierTest, ConcatConsumersSeeOnlyTheIntersection) {
   PhysicalModel model = LeafModel(3);
   PhysNodePtr writer = Node(PhysNodeKind::kPipeline, "Map");
   writer->writes = {1};
+  writer->effects.child_close = {ChildClose::kOnClose};
   writer->children.push_back(Node(PhysNodeKind::kLeaf, "SingletonScan"));
 
   PhysNodePtr concat = Node(PhysNodeKind::kConcat, "Concat");
+  concat->effects.child_close = {ChildClose::kOnClose, ChildClose::kOnClose};
   concat->children.push_back(std::move(writer));
   concat->children.push_back(Node(PhysNodeKind::kLeaf, "SingletonScan"));
 
   PhysNodePtr consumer = Node(PhysNodeKind::kPipeline, "Sort");
   consumer->reads = {1};
+  consumer->effects.child_close = {ChildClose::kOnClose};
   consumer->children.push_back(std::move(concat));
   model.root = std::move(consumer);
-  ExpectRejected(VerifyPhysical(model),
+  ExpectRejected(VerifyLowered(model),
                  "Sort: reads register r1 before any write dominates it");
 }
 
@@ -260,19 +262,22 @@ TEST(PhysicalVerifierTest, DependentRightSideSeesLeftDefinitions) {
   PhysicalModel model = LeafModel(3);
   PhysNodePtr left = Node(PhysNodeKind::kPipeline, "Map");
   left->writes = {1};
+  left->effects.child_close = {ChildClose::kOnClose};
   left->children.push_back(Node(PhysNodeKind::kLeaf, "SingletonScan"));
 
   PhysNodePtr right = Node(PhysNodeKind::kPipeline, "UnnestMap");
   right->reads = {1};  // the left side's binding
   right->writes = {2};
+  right->effects.child_close = {ChildClose::kOnClose};
   right->children.push_back(Node(PhysNodeKind::kLeaf, "SingletonScan"));
 
   PhysNodePtr join = Node(PhysNodeKind::kDependent, "DJoin");
+  join->effects.child_close = {ChildClose::kOnClose, ChildClose::kOnClose};
   join->children.push_back(std::move(left));
   join->children.push_back(std::move(right));
   model.root = std::move(join);
   model.result_reg = 2;
-  EXPECT_TRUE(VerifyPhysical(model).ok());
+  EXPECT_TRUE(VerifyLowered(model).ok());
 }
 
 TEST(PhysicalVerifierTest, ProbeSideDefinitionsDoNotSurviveSemiJoin) {
@@ -281,17 +286,21 @@ TEST(PhysicalVerifierTest, ProbeSideDefinitionsDoNotSurviveSemiJoin) {
   PhysicalModel model = LeafModel(3);
   PhysNodePtr probe = Node(PhysNodeKind::kPipeline, "UnnestMap");
   probe->writes = {1};
+  probe->effects.child_close = {ChildClose::kOnClose};
   probe->children.push_back(Node(PhysNodeKind::kLeaf, "SingletonScan"));
 
   PhysNodePtr join = Node(PhysNodeKind::kDependentLeft, "SemiJoin");
+  join->effects.child_close = {ChildClose::kOnClose,
+                               ChildClose::kProbeContained};
   join->children.push_back(Node(PhysNodeKind::kLeaf, "SingletonScan"));
   join->children.push_back(std::move(probe));
 
   PhysNodePtr consumer = Node(PhysNodeKind::kPipeline, "DupElim");
   consumer->reads = {1};
+  consumer->effects.child_close = {ChildClose::kOnClose};
   consumer->children.push_back(std::move(join));
   model.root = std::move(consumer);
-  ExpectRejected(VerifyPhysical(model),
+  ExpectRejected(VerifyLowered(model),
                  "DupElim: reads register r1 before any write dominates it");
 }
 
@@ -300,15 +309,17 @@ TEST(PhysicalVerifierTest, RowSnapshotListsOnlyNeedBounds) {
   PhysNodePtr sort = Node(PhysNodeKind::kPipeline, "Sort");
   sort->reads = {0};
   sort->row_regs = {0, 1};  // r1 never written: legal (null round-trips)
+  sort->effects.child_close = {ChildClose::kOnClose};
   sort->children.push_back(std::move(model.root));
   model.root = std::move(sort);
-  EXPECT_TRUE(VerifyPhysical(model).ok());
+  EXPECT_TRUE(VerifyLowered(model).ok());
 
   PhysNodePtr bad = Node(PhysNodeKind::kPipeline, "TmpCs");
   bad->row_regs = {9};
+  bad->effects.child_close = {ChildClose::kOnClose};
   bad->children.push_back(std::move(model.root));
   model.root = std::move(bad);
-  ExpectRejected(VerifyPhysical(model),
+  ExpectRejected(VerifyLowered(model),
                  "TmpCs: row register r9 is out of bounds");
 }
 
@@ -421,8 +432,6 @@ TEST(NvmVerifierTest, RejectsInvalidComparisonCode) {
 // ---------------------------------------------------------------------------
 
 TEST(PlanVerifierE2eTest, CompiledQueriesReportVerified) {
-  bool was_enabled = VerificationEnabled();
-  SetVerificationEnabled(true);
   auto db = Database::CreateTemp();
   ASSERT_TRUE(db.ok());
   ASSERT_TRUE(
@@ -436,7 +445,6 @@ TEST(PlanVerifierE2eTest, CompiledQueriesReportVerified) {
     const std::string& report = (*compiled)->prepared().VerificationReport();
     EXPECT_EQ(report.rfind("VERIFIED", 0), 0u) << query << ": " << report;
   }
-  SetVerificationEnabled(was_enabled);
 }
 
 }  // namespace

@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/plan_verifier.h"
 #include "api/database.h"
 #include "dom/dom_builder.h"
 #include "interp/evaluator.h"
@@ -115,9 +114,6 @@ StatusOr<std::string> RunAlgebraic(Database* db, storage::NodeId root,
 }
 
 TEST(PositionalConformanceTest, MatrixAgreesAcrossEnginesAndPinsTheGate) {
-  bool was_enabled = analysis::VerificationEnabled();
-  analysis::SetVerificationEnabled(true);
-
   auto db = Database::CreateTemp();
   ASSERT_TRUE(db.ok());
   auto info = (*db)->LoadDocument("doc", kDoc);
@@ -183,8 +179,6 @@ TEST(PositionalConformanceTest, MatrixAgreesAcrossEnginesAndPinsTheGate) {
     EXPECT_EQ(*canonical, expected_str)
         << "canonical plan diverges on " << c.query;
   }
-
-  analysis::SetVerificationEnabled(was_enabled);
 }
 
 TEST(PositionalConformanceTest, TmpCsReplayFreshCounterPerOuterBinding) {
@@ -193,9 +187,6 @@ TEST(PositionalConformanceTest, TmpCsReplayFreshCounterPerOuterBinding) {
   // materialize_ops); each outer binding replays its own group, so the
   // counter must restart at 1 per group. A leaked counter would pick
   // the wrong "last" sibling for every group after the first.
-  bool was_enabled = analysis::VerificationEnabled();
-  analysis::SetVerificationEnabled(true);
-
   constexpr char kGroups[] =
       "<r><a><b>1</b><b>2</b></a><a><b>3</b></a>"
       "<a><b>4</b><b>5</b><b>6</b></a></r>";
@@ -241,8 +232,6 @@ TEST(PositionalConformanceTest, TmpCsReplayFreshCounterPerOuterBinding) {
     }
     EXPECT_EQ(actual, c.expected) << c.query;
   }
-
-  analysis::SetVerificationEnabled(was_enabled);
 }
 
 TEST(PositionalConformanceTest, ApiResultLimitCapsOrderedResults) {
@@ -250,9 +239,6 @@ TEST(PositionalConformanceTest, ApiResultLimitCapsOrderedResults) {
   // The result stream of /r/a/b is provably doc-ordered, so the cap is
   // a pure early exit — and must return exactly the first k of the full
   // result.
-  bool was_enabled = analysis::VerificationEnabled();
-  analysis::SetVerificationEnabled(true);
-
   auto db = Database::CreateTemp();
   ASSERT_TRUE(db.ok());
   auto info = (*db)->LoadDocument("doc", kDoc);
@@ -284,8 +270,6 @@ TEST(PositionalConformanceTest, ApiResultLimitCapsOrderedResults) {
           << "k=" << k << " index " << i;
     }
   }
-
-  analysis::SetVerificationEnabled(was_enabled);
 }
 
 TEST(PositionalConformanceTest, ApiResultLimitSortsUnorderedResults) {
@@ -293,9 +277,6 @@ TEST(PositionalConformanceTest, ApiResultLimitSortsUnorderedResults) {
   // steps destroy the order claim) gains an in-plan sort below the cap:
   // the capped result must still be the first k of the *document-order*
   // full result, not the first k the plan happened to produce.
-  bool was_enabled = analysis::VerificationEnabled();
-  analysis::SetVerificationEnabled(true);
-
   auto db = Database::CreateTemp();
   ASSERT_TRUE(db.ok());
   auto info = (*db)->LoadDocument("doc", kDoc);
@@ -322,8 +303,6 @@ TEST(PositionalConformanceTest, ApiResultLimitSortsUnorderedResults) {
           << "k=" << k << " index " << i;
     }
   }
-
-  analysis::SetVerificationEnabled(was_enabled);
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/plan_verifier.h"
 #include "api/database.h"
 #include "runtime/value.h"
 
@@ -196,8 +195,6 @@ TEST(PropertyOracleTest, PositionalQueriesPassWithLimitContractArmed) {
   // End-to-end: positional queries whose plans gain a Limit run with
   // verification on, so the oracle checks the <= k contract and the
   // preserved-order claim on every tuple of the capped stream.
-  bool was_enabled = analysis::VerificationEnabled();
-  analysis::SetVerificationEnabled(true);
   auto db = Database::CreateTemp();
   ASSERT_TRUE(db.ok());
   auto info = (*db)->LoadDocument(
@@ -216,16 +213,12 @@ TEST(PropertyOracleTest, PositionalQueriesPassWithLimitContractArmed) {
     EXPECT_TRUE(has_limit) << query;
     auto nodes = (*compiled)->EvaluateNodes(info->root);
     EXPECT_TRUE(nodes.ok()) << query << ": " << nodes.status().ToString();
-  }
-  analysis::SetVerificationEnabled(was_enabled);
-}
+  }}
 
 TEST(PropertyOracleTest, EndToEndQueriesPassWithOracleArmed) {
   // Compile + run real queries with verification (and thus the oracle)
   // on: every claim the inference engine makes must hold on the actual
   // tuple streams.
-  bool was_enabled = analysis::VerificationEnabled();
-  analysis::SetVerificationEnabled(true);
   auto db = Database::CreateTemp();
   ASSERT_TRUE(db.ok());
   auto info = (*db)->LoadDocument(
@@ -245,9 +238,7 @@ TEST(PropertyOracleTest, EndToEndQueriesPassWithOracleArmed) {
       auto value = (*compiled)->EvaluateString(info->root);
       EXPECT_TRUE(value.ok()) << query << ": " << value.status().ToString();
     }
-  }
-  analysis::SetVerificationEnabled(was_enabled);
-}
+  }}
 
 }  // namespace
 }  // namespace natix::qe

@@ -29,6 +29,13 @@ translate::TranslationResult TranslateNoSimplify(const std::string& query) {
   return std::move(result.value());
 }
 
+/// Simplifies `plan`, expecting every rule application to verify.
+size_t Simplify(OpPtr* plan, RewriteLog* log = nullptr) {
+  auto removed = SimplifyPlan(plan, log);
+  EXPECT_TRUE(removed.ok()) << removed.status().ToString();
+  return removed.ok() ? *removed : 0;
+}
+
 size_t CountKind(const Operator& op, OpKind kind) {
   size_t n = op.kind == kind ? 1 : 0;
   for (const OpPtr& child : op.children) n += CountKind(*child, kind);
@@ -40,7 +47,7 @@ TEST(RewriterTest, ChildStepAfterDedupIsDuplicateFree) {
   // Before: dedup after the ppd // step AND a final dedup.
   EXPECT_EQ(CountKind(*result.plan, OpKind::kDupElim), 2u);
   RewriteLog log;
-  size_t removed = SimplifyPlan(&result.plan, &log);
+  size_t removed = Simplify(&result.plan, &log);
   // Both are provably redundant: descendant-or-self expands the
   // non-nested document root (inherently duplicate-free), and the child
   // step runs over that deduplicated context.
@@ -57,7 +64,7 @@ TEST(RewriterTest, ChildStepAfterDedupIsDuplicateFree) {
 TEST(RewriterTest, DescendantOverNonNestedContextDedupIsRemoved) {
   auto result = TranslateNoSimplify("/a/descendant::b");
   EXPECT_EQ(CountKind(*result.plan, OpKind::kDupElim), 1u);
-  size_t removed = SimplifyPlan(&result.plan);
+  size_t removed = Simplify(&result.plan);
   // /a elements are siblings (children of the root), hence non-nested:
   // their descendant sets are disjoint, so the dedup is redundant.
   EXPECT_EQ(removed, 1u);
@@ -67,7 +74,7 @@ TEST(RewriterTest, DescendantOverNonNestedContextDedupIsRemoved) {
 TEST(RewriterTest, DescendantOverNestedContextDedupIsKept) {
   auto result = TranslateNoSimplify("//a/descendant::b");
   size_t before = CountKind(*result.plan, OpKind::kDupElim);
-  SimplifyPlan(&result.plan);
+  Simplify(&result.plan);
   // //a contexts can nest, so distinct contexts may share descendants:
   // the dedup after descendant::b must survive.
   EXPECT_GE(CountKind(*result.plan, OpKind::kDupElim), 1u);
@@ -77,7 +84,7 @@ TEST(RewriterTest, DescendantOverNestedContextDedupIsKept) {
 TEST(RewriterTest, UnionDedupIsKept) {
   auto result = TranslateNoSimplify("a | b");
   size_t before = CountKind(*result.plan, OpKind::kDupElim);
-  SimplifyPlan(&result.plan);
+  Simplify(&result.plan);
   EXPECT_EQ(CountKind(*result.plan, OpKind::kDupElim), before);
   EXPECT_EQ(result.plan->kind, OpKind::kDupElim);
 }
@@ -119,7 +126,7 @@ TEST(RewriterTest, ConstantTrueSelectionFoldsAway) {
   // true() folds to a boolean literal, the predicate becomes sigma_true.
   auto result = TranslateNoSimplify("a[true()]");
   EXPECT_EQ(CountKind(*result.plan, OpKind::kSelect), 1u);
-  size_t removed = SimplifyPlan(&result.plan);
+  size_t removed = Simplify(&result.plan);
   EXPECT_EQ(removed, 1u);
   EXPECT_EQ(CountKind(*result.plan, OpKind::kSelect), 0u);
 }
@@ -129,7 +136,7 @@ TEST(RewriterTest, SortOnOrderedInputIsRemoved) {
   // order: the positional filter expression needs no sort.
   auto result = TranslateNoSimplify("(/a/b/c)[2]");
   EXPECT_EQ(CountKind(*result.plan, OpKind::kSort), 1u);
-  size_t removed = SimplifyPlan(&result.plan);
+  size_t removed = Simplify(&result.plan);
   EXPECT_GE(removed, 1u);
   EXPECT_EQ(CountKind(*result.plan, OpKind::kSort), 0u);
 }
@@ -137,7 +144,7 @@ TEST(RewriterTest, SortOnOrderedInputIsRemoved) {
 TEST(RewriterTest, SortOnDescendantsIsRemoved) {
   // /descendant::a from the root is emitted in document order.
   auto result = TranslateNoSimplify("(/descendant::a)[last()]");
-  SimplifyPlan(&result.plan);
+  Simplify(&result.plan);
   EXPECT_EQ(CountKind(*result.plan, OpKind::kSort), 0u);
 }
 
@@ -146,25 +153,25 @@ TEST(RewriterTest, SortAfterChildOfNestedContextsIsKept) {
   // interleave, so the sort must stay.
   auto result = TranslateNoSimplify("(//a/b)[1]");
   EXPECT_EQ(CountKind(*result.plan, OpKind::kSort), 1u);
-  SimplifyPlan(&result.plan);
+  Simplify(&result.plan);
   EXPECT_EQ(CountKind(*result.plan, OpKind::kSort), 1u);
 }
 
 TEST(RewriterTest, SortAfterUnionIsKept) {
   auto result = TranslateNoSimplify("(/a/b | /a/c)[1]");
-  SimplifyPlan(&result.plan);
+  Simplify(&result.plan);
   EXPECT_EQ(CountKind(*result.plan, OpKind::kSort), 1u);
 }
 
 TEST(RewriterTest, SortAfterReverseAxisIsKept) {
   auto result = TranslateNoSimplify("(/a/b/ancestor::*)[1]");
-  SimplifyPlan(&result.plan);
+  Simplify(&result.plan);
   EXPECT_EQ(CountKind(*result.plan, OpKind::kSort), 1u);
 }
 
 TEST(RewriterTest, AttributeStepsKeepDocumentOrder) {
   auto result = TranslateNoSimplify("(/a/b/@x)[2]");
-  SimplifyPlan(&result.plan);
+  Simplify(&result.plan);
   EXPECT_EQ(CountKind(*result.plan, OpKind::kSort), 0u);
 }
 
@@ -177,7 +184,7 @@ TEST(RewriterTest, SortAfterDescendantUnderFollowingSiblingIsKept) {
       TranslateNoSimplify("(/a/b/following-sibling::*/descendant::c)[1]");
   size_t sorts = CountKind(*result.plan, OpKind::kSort);
   ASSERT_GE(sorts, 1u);
-  SimplifyPlan(&result.plan);
+  Simplify(&result.plan);
   EXPECT_EQ(CountKind(*result.plan, OpKind::kSort), sorts);
   EXPECT_GE(CountKind(*result.plan, OpKind::kDupElim), 1u);
 }
@@ -200,7 +207,7 @@ TEST(RewriterTest, ImprovedDefaultsSimplify) {
 TEST(RewriterTest, CheckedSimplifyAcceptsItsOwnRewrites) {
   auto result = TranslateNoSimplify("(//a/b)[1]");
   RewriteLog log;
-  auto removed = SimplifyPlanChecked(&result.plan, &log);
+  auto removed = SimplifyPlan(&result.plan, &log);
   ASSERT_TRUE(removed.ok()) << removed.status().ToString();
   EXPECT_GE(*removed, 1u);
 }
