@@ -33,7 +33,7 @@ class Database {
     Options() {}
     /// Buffer pool size in pages (8 KiB each).
     size_t buffer_pages = 4096;
-    /// Number of buffer-pool stripes (mutex + LRU + page table each).
+    /// Number of buffer-pool stripes (mutex + clock + page table each).
     /// 0 picks a default from the hardware concurrency; 1 reproduces
     /// the classic single-lock pool.
     size_t buffer_shards = 0;

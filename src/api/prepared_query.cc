@@ -79,10 +79,12 @@ void PreparedQuery::Execution::SetVariable(const std::string& name,
 }
 
 Status PreparedQuery::Execution::BindContext(storage::NodeId context) {
-  storage::NodeRecord record;
-  NATIX_RETURN_IF_ERROR(store_->ReadNode(context, &record));
-  context_->SetContextNode(runtime::NodeRef::Make(context, record.order));
+  // Stats begin first: the context node's page enters the execution's
+  // page set here, and its fix belongs to the query.
   BeginStats();
+  storage::NodeHeader header;
+  NATIX_RETURN_IF_ERROR(context_->eval_ctx.nodes->ReadHeader(context, &header));
+  context_->SetContextNode(runtime::NodeRef::Make(context, header.order));
   return Status::OK();
 }
 
@@ -148,6 +150,7 @@ StatusOr<std::vector<runtime::NodeRef>> PreparedQuery::Execution::RunNodes(
 StatusOr<std::vector<storage::StoredNode>>
 PreparedQuery::Execution::EvaluateNodes(storage::NodeId context,
                                         bool document_order) {
+  storage::PageSetRelease release(context_->eval_ctx.nodes);
   NATIX_ASSIGN_OR_RETURN(std::vector<runtime::NodeRef> refs,
                          RunNodes(context));
   // The sort is skipped when property inference proved the plan's result
@@ -168,6 +171,7 @@ PreparedQuery::Execution::EvaluateNodes(storage::NodeId context,
 
 StatusOr<runtime::Value> PreparedQuery::Execution::EvaluateValue(
     storage::NodeId context) {
+  storage::PageSetRelease release(context_->eval_ctx.nodes);
   NATIX_RETURN_IF_ERROR(BindContext(context));
   StatusOr<runtime::Value> value = context_->ExecuteValue();
   if (!value.ok()) {
@@ -180,6 +184,7 @@ StatusOr<runtime::Value> PreparedQuery::Execution::EvaluateValue(
 
 StatusOr<double> PreparedQuery::Execution::EvaluateNumber(
     storage::NodeId context) {
+  storage::PageSetRelease release(context_->eval_ctx.nodes);
   xpath::ExprType type = prepared_->result_type();
   if (type == xpath::ExprType::kNodeSet ||
       type == xpath::ExprType::kString) {
@@ -187,37 +192,33 @@ StatusOr<double> PreparedQuery::Execution::EvaluateNumber(
     return StringToXPathNumber(s);
   }
   NATIX_ASSIGN_OR_RETURN(runtime::Value value, EvaluateValue(context));
-  runtime::EvalContext ctx;
-  ctx.store = store_;
-  return runtime::ToNumber(value, ctx);
+  return runtime::ToNumber(value, context_->eval_ctx);
 }
 
 StatusOr<bool> PreparedQuery::Execution::EvaluateBoolean(
     storage::NodeId context) {
+  storage::PageSetRelease release(context_->eval_ctx.nodes);
   if (prepared_->result_type() == xpath::ExprType::kNodeSet) {
     NATIX_ASSIGN_OR_RETURN(std::vector<runtime::NodeRef> refs,
                            RunNodes(context));
     return !refs.empty();
   }
   NATIX_ASSIGN_OR_RETURN(runtime::Value value, EvaluateValue(context));
-  runtime::EvalContext ctx;
-  ctx.store = store_;
-  return runtime::ToBoolean(value, ctx);
+  return runtime::ToBoolean(value, context_->eval_ctx);
 }
 
 StatusOr<std::string> PreparedQuery::Execution::EvaluateString(
     storage::NodeId context) {
+  storage::PageSetRelease release(context_->eval_ctx.nodes);
   if (prepared_->result_type() == xpath::ExprType::kNodeSet) {
     NATIX_ASSIGN_OR_RETURN(std::vector<runtime::NodeRef> refs,
                            RunNodes(context));
     if (refs.empty()) return std::string();
     if (!prepared_->ResultDocumentOrdered()) qe::SortResultNodes(&refs);
-    return store_->StringValue(refs.front().node_id());
+    return context_->eval_ctx.nodes->StringValue(refs.front().node_id());
   }
   NATIX_ASSIGN_OR_RETURN(runtime::Value value, EvaluateValue(context));
-  runtime::EvalContext ctx;
-  ctx.store = store_;
-  return runtime::ToStringValue(value, ctx);
+  return runtime::ToStringValue(value, context_->eval_ctx);
 }
 
 }  // namespace natix

@@ -40,20 +40,21 @@ StatusOr<bool> LangMatches(const std::string& wanted, NodeRef context,
   uint32_t xml_lang = ctx.store->names()->Lookup("xml:lang");
   if (xml_lang == storage::kInvalidNameId) return false;
 
-  storage::NodeRecord record;
+  storage::NodeHeader record;
   storage::NodeId node = context.node_id();
-  NATIX_RETURN_IF_ERROR(ctx.store->ReadNode(node, &record));
+  NATIX_RETURN_IF_ERROR(ctx.nodes->ReadHeader(node, &record));
   if (record.kind == storage::StoredNodeKind::kAttribute) {
     node = record.parent;
   }
   while (node.valid()) {
-    NATIX_RETURN_IF_ERROR(ctx.store->ReadNode(node, &record));
+    NATIX_RETURN_IF_ERROR(ctx.nodes->ReadHeader(node, &record));
     storage::NodeId attr = record.first_attr;
     while (attr.valid()) {
-      storage::NodeRecord attr_record;
-      NATIX_RETURN_IF_ERROR(ctx.store->ReadNode(attr, &attr_record));
+      storage::NodeHeader attr_record;
+      NATIX_RETURN_IF_ERROR(ctx.nodes->ReadHeader(attr, &attr_record));
       if (attr_record.name_id == xml_lang) {
-        std::string value = attr_record.inline_text;
+        NATIX_ASSIGN_OR_RETURN(std::string value,
+                               ctx.nodes->ReadContent(attr));
         // Case-insensitive compare; exact match or prefix before '-'.
         auto lower = [](std::string s) {
           for (char& c : s) {
@@ -76,9 +77,9 @@ StatusOr<bool> LangMatches(const std::string& wanted, NodeRef context,
 
 StatusOr<NodeRef> RootOf(NodeRef node, const EvalContext& ctx) {
   storage::NodeId current = node.node_id();
-  storage::NodeRecord record;
+  storage::NodeHeader record;
   while (true) {
-    NATIX_RETURN_IF_ERROR(ctx.store->ReadNode(current, &record));
+    NATIX_RETURN_IF_ERROR(ctx.nodes->ReadHeader(current, &record));
     if (!record.parent.valid()) {
       return NodeRef::Make(current, record.order);
     }
@@ -296,8 +297,8 @@ StatusOr<Value> Vm::Run(
       case OpCode::kNodeName:
       case OpCode::kNodeLocalName: {
         NATIX_ASSIGN_OR_RETURN(NodeRef n, node(ins.b));
-        storage::NodeRecord record;
-        NATIX_RETURN_IF_ERROR(ctx.store->ReadNode(n.node_id(), &record));
+        storage::NodeHeader record;
+        NATIX_RETURN_IF_ERROR(ctx.nodes->ReadHeader(n.node_id(), &record));
         std::string name;
         if (record.name_id != storage::kInvalidNameId) {
           name = ctx.store->names()->NameOf(record.name_id);

@@ -28,7 +28,7 @@ struct BufferCounters {
   uint64_t page_reads = 0;   ///< pages faulted in from the file
   uint64_t page_hits = 0;    ///< fixes served from the pool
   uint64_t page_writes = 0;  ///< dirty pages written back
-  uint64_t evictions = 0;    ///< frames reclaimed from the LRU list
+  uint64_t evictions = 0;    ///< resident pages replaced by the clock
 
   BufferCounters& operator+=(const BufferCounters& o) {
     page_reads += o.page_reads;

@@ -104,12 +104,12 @@ Status UnnestIterator::NextImpl(bool* has) {
 
 StatusOr<const std::unordered_map<std::string, NodeRef>*>
 IdDerefIterator::IndexFor(NodeRef node) {
-  const storage::NodeStore* store = state_->eval_ctx.store;
+  storage::NodeAccessor* nodes = state_->eval_ctx.nodes;
   // Climb to the document node.
   storage::NodeId current = node.node_id();
-  storage::NodeRecord record;
+  storage::NodeHeader record;
   while (true) {
-    NATIX_RETURN_IF_ERROR(store->ReadNode(current, &record));
+    NATIX_RETURN_IF_ERROR(nodes->ReadHeader(current, &record));
     if (!record.parent.valid()) break;
     current = record.parent;
   }
@@ -120,9 +120,9 @@ IdDerefIterator::IndexFor(NodeRef node) {
   // Build the index: elements carrying an attribute named "id" (treated
   // as ID-typed; this build does not process DTDs).
   std::unordered_map<std::string, NodeRef> index;
-  uint32_t id_name = store->names()->Lookup("id");
+  uint32_t id_name = state_->eval_ctx.store->names()->Lookup("id");
   if (id_name != storage::kInvalidNameId) {
-    runtime::AxisCursor cursor(store);
+    runtime::AxisCursor cursor(nodes);
     runtime::NodeTest any_element;
     any_element.kind = runtime::NodeTest::Kind::kAnyName;
     NATIX_RETURN_IF_ERROR(
@@ -132,14 +132,15 @@ IdDerefIterator::IndexFor(NodeRef node) {
       NodeRef element;
       NATIX_RETURN_IF_ERROR(cursor.Next(&has, &element));
       if (!has) break;
-      NATIX_RETURN_IF_ERROR(store->ReadNode(element.node_id(), &record));
+      NATIX_RETURN_IF_ERROR(nodes->ReadHeader(element.node_id(), &record));
       storage::NodeId attr = record.first_attr;
       while (attr.valid()) {
-        storage::NodeRecord attr_record;
-        NATIX_RETURN_IF_ERROR(store->ReadNode(attr, &attr_record));
+        storage::NodeHeader attr_record;
+        NATIX_RETURN_IF_ERROR(nodes->ReadHeader(attr, &attr_record));
         if (attr_record.name_id == id_name) {
           // The first element wins for duplicate ids.
-          index.emplace(attr_record.inline_text, element);
+          NATIX_ASSIGN_OR_RETURN(std::string id, nodes->ReadContent(attr));
+          index.emplace(std::move(id), element);
           break;
         }
         attr = attr_record.next_sibling;

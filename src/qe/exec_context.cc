@@ -21,31 +21,40 @@ Status ExecutionContext::VerifyLedgerQuiescent() const {
   if (ledger_.cursors_active != 0) {
     return Status::Internal(
         "resource ledger: " + std::to_string(ledger_.cursors_active) +
-        " storage cursor(s) still active after Close — page pins leaked "
-        "(pin-balance violation)");
+        " storage cursor(s) still active after Close (pin-balance "
+        "violation)");
   }
   if (ledger_.spool_rows != 0) {
     return Status::Internal(
         "resource ledger: " + std::to_string(ledger_.spool_rows) +
         " spool row(s) survive Close (spool-containment violation)");
   }
+  if (size_t pinned = nodes_.pinned_pages(); pinned != 0) {
+    return Status::Internal(
+        "resource ledger: " + std::to_string(pinned) +
+        " page(s) still pinned by the page set after release — page pins "
+        "leaked (pin-balance violation)");
+  }
   return Status::OK();
 }
 
-namespace {
+Status ExecutionContext::CloseAndRelease() {
+  Status st = root_->Close();
+  nodes_.ReleaseAll();
+  if (!st.ok()) return st;
+  return VerifyLedgerQuiescent();
+}
 
-/// Closes the root on an abort path and audits the resource ledger: the
-/// whole point of close-on-all-paths is that an early exit leaves no
-/// pins or spools behind, so a ledger imbalance here is a bug worth
-/// more than the original abort status.
-Status AbortClose(Iterator* root, const ExecutionContext& ctx, Status st) {
-  (void)root->Close();
-  Status ledger = ctx.VerifyLedgerQuiescent();
+Status ExecutionContext::AbortClose(Status st) {
+  // The whole point of close-on-all-paths is that an early exit leaves
+  // no pins or spools behind, so a ledger imbalance here is a bug worth
+  // more than the original abort status.
+  (void)root_->Close();
+  nodes_.ReleaseAll();
+  Status ledger = VerifyLedgerQuiescent();
   if (!ledger.ok()) return ledger;
   return st;
 }
-
-}  // namespace
 
 void ExecutionContext::SetContextNode(runtime::NodeRef node) {
   registers[cn_reg_] = runtime::Value::Node(node);
@@ -65,6 +74,7 @@ StatusOr<std::vector<runtime::NodeRef>> ExecutionContext::ExecuteNodes() {
         "ExecuteNodes called on a non-node-set query");
   }
   obs::ScopedSpan exec_span("exec/nodes");
+  storage::PageSetRelease release(&nodes_);
   std::vector<runtime::NodeRef> result;
   {
     obs::ScopedSpan span("exec/open");
@@ -78,7 +88,7 @@ StatusOr<std::vector<runtime::NodeRef>> ExecutionContext::ExecuteNodes() {
     obs::ScopedSpan span("exec/first-next");
     Status st = root_->Next(&has);
     if (!st.ok()) {
-      return AbortClose(root_.get(), *this, std::move(st));
+      return AbortClose(std::move(st));
     }
   }
   {
@@ -91,27 +101,25 @@ StatusOr<std::vector<runtime::NodeRef>> ExecutionContext::ExecuteNodes() {
       if (drained++ % kCancelCheckInterval == 0) {
         Status st = CheckCancellation();
         if (!st.ok()) {
-          return AbortClose(root_.get(), *this, std::move(st));
+          return AbortClose(std::move(st));
         }
       }
       const runtime::Value& v = registers[result_reg_];
       if (v.kind() != runtime::ValueKind::kNode) {
         return AbortClose(
-            root_.get(), *this,
             Status::Internal("node-set plan produced a non-node value"));
       }
       result.push_back(v.AsNode());
       Status st = root_->Next(&has);
       if (!st.ok()) {
-        return AbortClose(root_.get(), *this, std::move(st));
+        return AbortClose(std::move(st));
       }
     }
   }
   {
     obs::ScopedSpan span("exec/close");
-    NATIX_RETURN_IF_ERROR(root_->Close());
+    NATIX_RETURN_IF_ERROR(CloseAndRelease());
   }
-  NATIX_RETURN_IF_ERROR(VerifyLedgerQuiescent());
   return result;
 }
 
@@ -125,6 +133,7 @@ StatusOr<runtime::Value> ExecutionContext::ExecuteValue() {
   // check above never sees them; at least refuse to start work for a
   // request that is already over deadline or cancelled.
   NATIX_RETURN_IF_ERROR(CheckCancellation());
+  storage::PageSetRelease release(&nodes_);
   {
     obs::ScopedSpan span("exec/open");
     NATIX_RETURN_IF_ERROR(root_->Open());
@@ -134,19 +143,17 @@ StatusOr<runtime::Value> ExecutionContext::ExecuteValue() {
     obs::ScopedSpan span("exec/first-next");
     Status st = root_->Next(&has);
     if (!st.ok()) {
-      return AbortClose(root_.get(), *this, std::move(st));
+      return AbortClose(std::move(st));
     }
   }
   if (!has) {
-    return AbortClose(root_.get(), *this,
-                      Status::Internal("scalar plan produced no tuple"));
+    return AbortClose(Status::Internal("scalar plan produced no tuple"));
   }
   runtime::Value result = registers[result_reg_];
   {
     obs::ScopedSpan span("exec/close");
-    NATIX_RETURN_IF_ERROR(root_->Close());
+    NATIX_RETURN_IF_ERROR(CloseAndRelease());
   }
-  NATIX_RETURN_IF_ERROR(VerifyLedgerQuiescent());
   return result;
 }
 

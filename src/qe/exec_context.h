@@ -104,13 +104,14 @@ class ExecutionContext {
   // -- Layer-4 runtime resource ledger ------------------------------------
 
   /// Runtime cross-check of the static Layer-4 resource claims
-  /// (docs/STATIC-ANALYSIS.md): counts active storage cursors (page-pin
-  /// holders) and live non-memo spool rows. Armed for every execution of
+  /// (docs/STATIC-ANALYSIS.md): counts active storage cursors (position
+  /// state held between Next calls) and live non-memo spool rows, and
+  /// checks the page set empty after release. Armed for every execution of
   /// a plan prepared under verification (PlanTemplate::verified), which
   /// also runs the property oracle; the Ledger* helpers are single-branch
   /// no-ops otherwise.
   struct ResourceLedger {
-    /// Cursors currently holding page pins between Next calls.
+    /// Cursors currently positioned between Next calls.
     int64_t cursors_active = 0;
     /// Rows currently materialized in group/full spools.
     int64_t spool_rows = 0;
@@ -119,7 +120,6 @@ class ExecutionContext {
   };
 
   void ArmResourceLedger() { ledger_armed_ = true; }
-  bool ledger_armed() const { return ledger_armed_; }
   const ResourceLedger& ledger() const { return ledger_; }
 
   void LedgerCursorActivated() {
@@ -137,14 +137,16 @@ class ExecutionContext {
     if (ledger_armed_) ledger_.spool_rows -= static_cast<int64_t>(rows);
   }
 
-  /// After the root has been Closed, every cursor must be inactive and
-  /// every non-memo spool empty — the runtime form of the pin-balance /
-  /// spool-containment proof. kInternal naming the imbalance otherwise.
+  /// After the root has been Closed and the page set released, every
+  /// cursor must be inactive, every non-memo spool empty and the page set
+  /// empty — the runtime form of the pin-balance / spool-containment
+  /// proof. kInternal naming the imbalance otherwise.
   Status VerifyLedgerQuiescent() const;
 
   // -- Mutable execution state, written by the iterators ------------------
 
   runtime::RegisterFile registers{0};
+  /// `eval_ctx.nodes` points at this context's page set.
   runtime::EvalContext eval_ctx;
   std::unordered_map<std::string, runtime::Value> variables;
   /// Lazily built id() indexes: document root (packed) -> id token ->
@@ -161,6 +163,16 @@ class ExecutionContext {
  private:
   friend class internal::Instantiator;
 
+  /// Closes the root, releases the page set, then audits the ledger.
+  Status CloseAndRelease();
+  /// The same on an abort path: returns the ledger's complaint if there
+  /// is one, else `st`.
+  Status AbortClose(Status st);
+
+  /// The execution's page set: every node read of every operator,
+  /// subscript and nested plan goes through it. Execute* releases it on
+  /// return, on every path.
+  storage::NodeAccessor nodes_;
   IteratorPtr root_;
   NestedTable nested_;
   std::unique_ptr<obs::QueryStats> stats_;

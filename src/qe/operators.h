@@ -143,23 +143,17 @@ class UnnestMapIterator : public Iterator {
  public:
   UnnestMapIterator(ExecutionContext* state, IteratorPtr child,
                     runtime::RegisterId ctx, runtime::RegisterId out,
-                    runtime::Axis axis, runtime::NodeTest test)
-      : state_(state),
-        child_(std::move(child)),
-        ctx_(ctx),
-        out_(out),
-        axis_(axis),
-        test_(test),
-        cursor_(nullptr) {}
+                    runtime::Axis axis, runtime::NodeTest test);
   Status OpenImpl() override;
   Status NextImpl(bool* has) override;
-  /// Releases the axis cursor (and the page pins its node accessor
-  /// holds) before closing the child: pins must not survive an early
-  /// Close via Limit or a deadline/cancel abort.
+  /// Deactivates the axis cursor before closing the child, so the
+  /// resource ledger sees it inactive after an early Close via Limit or
+  /// a deadline/cancel abort. The cursor holds no pins: pages stay in the
+  /// execution's page set until the Evaluate* call returns.
   Status CloseImpl() override;
 
  private:
-  /// Deactivates and resets the cursor, updating the resource ledger.
+  /// Deactivates the cursor, updating the resource ledger.
   void ReleaseCursor();
 
   ExecutionContext* state_;

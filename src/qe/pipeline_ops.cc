@@ -82,14 +82,25 @@ Status CounterIterator::NextImpl(bool* has) {
   return Status::OK();
 }
 
+UnnestMapIterator::UnnestMapIterator(ExecutionContext* state,
+                                     IteratorPtr child,
+                                     runtime::RegisterId ctx,
+                                     runtime::RegisterId out,
+                                     runtime::Axis axis,
+                                     runtime::NodeTest test)
+    : state_(state),
+      child_(std::move(child)),
+      ctx_(ctx),
+      out_(out),
+      axis_(axis),
+      test_(test),
+      cursor_(state->eval_ctx.nodes) {}
+
 void UnnestMapIterator::ReleaseCursor() {
   if (cursor_active_) {
     cursor_active_ = false;
     state_->LedgerCursorReleased();
   }
-  // Reassignment drops the cursor's node accessor and with it the page
-  // pins it caches — an exhausted cursor may still hold its last page.
-  cursor_ = runtime::AxisCursor(state_->eval_ctx.store);
 }
 
 Status UnnestMapIterator::OpenImpl() {

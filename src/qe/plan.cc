@@ -26,7 +26,9 @@ class Instantiator {
       : tmpl_(tmpl), model_(tmpl.lowered_plan()), ctx_(ctx) {}
 
   void Run(bool collect_stats) {
+    ctx_->nodes_ = storage::NodeAccessor(tmpl_.store());
     ctx_->eval_ctx.store = tmpl_.store();
+    ctx_->eval_ctx.nodes = &ctx_->nodes_;
     // The runtime half of Layer 4: the resource ledger cross-checks the
     // static pin-balance / spool-containment proof on every execution of
     // a verified plan, abort paths included.

@@ -122,9 +122,9 @@ StatusOr<Value> RunNestedAggregate(NestedPlan* nested, ExecutionContext* state) 
     case AggKind::kFirstName:
     case AggKind::kFirstLocalName: {
       if (!have_first) return Value::String(std::string());
-      storage::NodeRecord record;
+      storage::NodeHeader record;
       NATIX_RETURN_IF_ERROR(
-          state->eval_ctx.store->ReadNode(first.node_id(), &record));
+          state->eval_ctx.nodes->ReadHeader(first.node_id(), &record));
       std::string name;
       if (record.name_id != storage::kInvalidNameId) {
         name = state->eval_ctx.store->names()->NameOf(record.name_id);

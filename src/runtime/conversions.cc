@@ -8,8 +8,8 @@
 namespace natix::runtime {
 
 StatusOr<std::string> NodeStringValue(NodeRef node, const EvalContext& ctx) {
-  NATIX_DCHECK(ctx.store != nullptr);
-  return ctx.store->StringValue(node.node_id());
+  NATIX_DCHECK(ctx.nodes != nullptr);
+  return ctx.nodes->StringValue(node.node_id());
 }
 
 StatusOr<bool> ToBoolean(const Value& v, const EvalContext& ctx) {

@@ -10,9 +10,12 @@
 namespace natix::runtime {
 
 /// Execution-time context shared by conversions, the NVM and iterators:
-/// the store whose pages node references point into.
+/// the store whose pages node references point into (its catalog and name
+/// dictionary), and the execution's page set, through which every node
+/// record is read.
 struct EvalContext {
   const storage::NodeStore* store = nullptr;
+  storage::NodeAccessor* nodes = nullptr;
 };
 
 /// XPath string-value of a node.

@@ -142,7 +142,7 @@ Status AxisCursor::Open(Axis axis, const NodeTest& test, NodeId context) {
 StatusOr<NodeId> AxisCursor::DeepestLast(NodeId node) {
   NodeHeader record;
   while (true) {
-    NATIX_RETURN_IF_ERROR(accessor_.ReadHeader(node, &record));
+    NATIX_RETURN_IF_ERROR(nodes_->ReadHeader(node, &record));
     if (!record.last_child.valid()) return node;
     node = record.last_child;
   }
@@ -156,7 +156,7 @@ Status AxisCursor::Step() {
 
   if (first_) {
     first_ = false;
-    NATIX_RETURN_IF_ERROR(accessor_.ReadHeader(context_, &ctx_record));
+    NATIX_RETURN_IF_ERROR(nodes_->ReadHeader(context_, &ctx_record));
     const bool ctx_is_attribute =
         ctx_record.kind == StoredNodeKind::kAttribute;
     switch (axis_) {
@@ -201,7 +201,8 @@ Status AxisCursor::Step() {
           // subtree (those nodes are after the attribute in document
           // order and are not its descendants).
           NodeHeader owner;
-          NATIX_RETURN_IF_ERROR(accessor_.ReadHeader(ctx_record.parent, &owner));
+          NATIX_RETURN_IF_ERROR(
+              nodes_->ReadHeader(ctx_record.parent, &owner));
           if (owner.first_child.valid()) {
             current_ = owner.first_child;
             break;
@@ -218,14 +219,14 @@ Status AxisCursor::Step() {
             break;
           }
           if (!walk.parent.valid()) break;
-          NATIX_RETURN_IF_ERROR(accessor_.ReadHeader(walk.parent, &walk));
+          NATIX_RETURN_IF_ERROR(nodes_->ReadHeader(walk.parent, &walk));
         }
         break;
       }
       case Axis::kPreceding: {
         NodeId base = ctx_is_attribute ? ctx_record.parent : context_;
         NodeHeader base_record;
-        NATIX_RETURN_IF_ERROR(accessor_.ReadHeader(base, &base_record));
+        NATIX_RETURN_IF_ERROR(nodes_->ReadHeader(base, &base_record));
         skip_ancestor_ = base_record.parent;
         // Position the walk at `base` and run the common reverse step
         // below by falling into the !first_ path.
@@ -238,7 +239,7 @@ Status AxisCursor::Step() {
       done_ = true;
       return Status::OK();
     }
-    return accessor_.ReadHeader(current_, &record_);
+    return nodes_->ReadHeader(current_, &record_);
   }
 
   // Subsequent steps.
@@ -277,7 +278,7 @@ Status AxisCursor::Step() {
         }
         node = record.parent;
         if (!node.valid()) break;
-        NATIX_RETURN_IF_ERROR(accessor_.ReadHeader(node, &record));
+        NATIX_RETURN_IF_ERROR(nodes_->ReadHeader(node, &record));
       }
       break;
     }
@@ -297,7 +298,7 @@ Status AxisCursor::Step() {
         }
         node = record.parent;
         if (!node.valid()) break;
-        NATIX_RETURN_IF_ERROR(accessor_.ReadHeader(node, &record));
+        NATIX_RETURN_IF_ERROR(nodes_->ReadHeader(node, &record));
       }
       break;
     }
@@ -306,7 +307,7 @@ Status AxisCursor::Step() {
       while (true) {
         if (record_.prev_sibling.valid()) {
           NATIX_ASSIGN_OR_RETURN(current_, DeepestLast(record_.prev_sibling));
-          NATIX_RETURN_IF_ERROR(accessor_.ReadHeader(current_, &record_));
+          NATIX_RETURN_IF_ERROR(nodes_->ReadHeader(current_, &record_));
           return Status::OK();
         }
         current_ = record_.parent;
@@ -314,7 +315,7 @@ Status AxisCursor::Step() {
           done_ = true;
           return Status::OK();
         }
-        NATIX_RETURN_IF_ERROR(accessor_.ReadHeader(current_, &record_));
+        NATIX_RETURN_IF_ERROR(nodes_->ReadHeader(current_, &record_));
         if (current_ == skip_ancestor_) {
           skip_ancestor_ = record_.parent;
           continue;  // ancestors are excluded from the preceding axis
@@ -328,7 +329,7 @@ Status AxisCursor::Step() {
     done_ = true;
     return Status::OK();
   }
-  return accessor_.ReadHeader(current_, &record_);
+  return nodes_->ReadHeader(current_, &record_);
 }
 
 Status AxisCursor::Next(bool* has, NodeRef* out) {

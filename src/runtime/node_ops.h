@@ -68,13 +68,14 @@ bool MatchesNodeTest(const storage::NodeHeader& header, const NodeTest& test,
 /// unnest-map operator and the NVM navigation commands (Sec. 5.2.2).
 ///
 /// Nodes are produced in axis order: document order for forward axes,
-/// reverse document order for reverse axes. The cursor performs O(1)
-/// page-buffer accesses per step (descendant walks use parent links, and
-/// reverse walks use the stored last-child links).
+/// reverse document order for reverse axes. A step reads O(1) node
+/// headers (descendant walks use parent links, and reverse walks use the
+/// stored last-child links), each through the execution's page set: a
+/// header on a page of the set costs no buffer-manager call. The cursor
+/// itself holds only its position (decoded header copies), never a pin.
 class AxisCursor {
  public:
-  explicit AxisCursor(const storage::NodeStore* store)
-      : store_(store), accessor_(store) {}
+  explicit AxisCursor(storage::NodeAccessor* nodes) : nodes_(nodes) {}
 
   /// (Re)positions the cursor at `context` for `axis`/`test`.
   Status Open(Axis axis, const NodeTest& test, storage::NodeId context);
@@ -90,8 +91,7 @@ class AxisCursor {
   /// Deepest last descendant of `node` (the node itself if childless).
   StatusOr<storage::NodeId> DeepestLast(storage::NodeId node);
 
-  const storage::NodeStore* store_;
-  storage::NodeAccessor accessor_;
+  storage::NodeAccessor* nodes_;
   Axis axis_ = Axis::kSelf;
   NodeTest test_;
   bool principal_is_attribute_ = false;

@@ -499,7 +499,7 @@ std::string Server::RenderMetrics() const {
   obs::AppendPrometheusCounter(&out, "natix_buffer_writes_total",
                                "Dirty pages written back.", snap.writes);
   obs::AppendPrometheusCounter(&out, "natix_buffer_evictions_total",
-                               "Frames reclaimed from an LRU list.",
+                               "Resident pages replaced by the clock.",
                                snap.evictions);
   size_t resident = 0;
   for (const storage::BufferManager::ShardSnapshot& shard :

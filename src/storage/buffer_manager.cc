@@ -80,8 +80,9 @@ BufferManager::BufferManager(PagedFile* file, size_t capacity, size_t shards)
                    (s < capacity % shards_.size() ? 1 : 0);
     shards_[s].free_frames.reserve(count);
     size_t begin = next;
+    shards_[s].begin = begin;
+    shards_[s].count = count;
     for (size_t i = 0; i < count; ++i, ++next) {
-      frames_[next].shard = static_cast<uint32_t>(s);
       frames_[next].data = std::make_unique<uint8_t[]>(kPageSize);
       // Free frames are handed out lowest-index-first (back of the list),
       // matching the classic single-shard pool's allocation order.
@@ -98,8 +99,8 @@ BufferManager::~BufferManager() {
 
 void BufferManager::Pin(size_t frame) {
   // Only reachable by copying a valid handle: the frame is already
-  // pinned, hence not in any LRU list and not evictable — a plain
-  // increment suffices, no shard lock.
+  // pinned, hence not evictable — a plain increment suffices, no shard
+  // lock.
   uint32_t prev =
       frames_[frame].pin_count.fetch_add(1, std::memory_order_relaxed);
   NATIX_DCHECK(prev > 0);
@@ -107,22 +108,13 @@ void BufferManager::Pin(size_t frame) {
 }
 
 void BufferManager::Unpin(size_t frame) {
-  Frame& f = frames_[frame];
-  uint32_t prev = f.pin_count.fetch_sub(1, std::memory_order_acq_rel);
+  // Release: the holder's reads and writes of the frame happen before
+  // the clock hand (acquire load under the shard mutex) sees the count
+  // at zero and reuses the frame.
+  uint32_t prev =
+      frames_[frame].pin_count.fetch_sub(1, std::memory_order_release);
   NATIX_DCHECK(prev > 0);
-  if (prev != 1) return;
-  // Possibly the last pin: move the frame to its shard's LRU list. The
-  // frame may have been re-pinned by a concurrent FixPage between the
-  // decrement and the lock, so every condition is re-checked under the
-  // shard mutex (FixPage holds it for the matching transitions).
-  Shard& shard = shards_[f.shard];
-  obs::LedgeredMutexLock lock(shard.mutex, obs::LockClass::kBufferShard,
-                              ShardInstance(f.shard));
-  if (f.pin_count.load(std::memory_order_relaxed) == 0 && !f.in_lru &&
-      f.page_id != kInvalidPage) {
-    f.lru_pos = shard.lru.insert(shard.lru.end(), frame);
-    f.in_lru = true;
-  }
+  (void)prev;
 }
 
 StatusOr<size_t> BufferManager::ClaimFrame(Shard& shard) {
@@ -131,23 +123,30 @@ StatusOr<size_t> BufferManager::ClaimFrame(Shard& shard) {
     shard.free_frames.pop_back();
     return frame;
   }
-  if (shard.lru.empty()) {
-    return Status::ResourceExhausted(
-        "buffer pool exhausted: all frames of the page's shard are pinned");
+  // No free frame, so every frame of the shard maps a page. The first
+  // sweep may only clear reference bits; the second then finds any frame
+  // that stayed unpinned.
+  for (size_t step = 0; step < 2 * shard.count; ++step) {
+    size_t frame = shard.begin + shard.hand;
+    shard.hand = shard.hand + 1 == shard.count ? 0 : shard.hand + 1;
+    Frame& f = frames_[frame];
+    if (f.pin_count.load(std::memory_order_acquire) != 0) continue;
+    if (f.referenced) {
+      f.referenced = false;
+      continue;
+    }
+    if (f.dirty.load(std::memory_order_relaxed)) {
+      NATIX_RETURN_IF_ERROR(file_->WritePage(f.page_id, f.data.get()));
+      f.dirty.store(false, std::memory_order_relaxed);
+      shard.writes.fetch_add(1, std::memory_order_relaxed);
+    }
+    shard.page_table.erase(f.page_id);
+    f.page_id = kInvalidPage;
+    shard.evictions.fetch_add(1, std::memory_order_relaxed);
+    return frame;
   }
-  size_t frame = shard.lru.front();
-  shard.lru.pop_front();
-  Frame& f = frames_[frame];
-  f.in_lru = false;
-  if (f.dirty.load(std::memory_order_relaxed)) {
-    NATIX_RETURN_IF_ERROR(file_->WritePage(f.page_id, f.data.get()));
-    f.dirty.store(false, std::memory_order_relaxed);
-    shard.writes.fetch_add(1, std::memory_order_relaxed);
-  }
-  shard.page_table.erase(f.page_id);
-  f.page_id = kInvalidPage;
-  shard.evictions.fetch_add(1, std::memory_order_relaxed);
-  return frame;
+  return Status::ResourceExhausted(
+      "buffer pool exhausted: all frames of the page's shard are pinned");
 }
 
 StatusOr<PageHandle> BufferManager::FixPage(PageId id) {
@@ -159,10 +158,7 @@ StatusOr<PageHandle> BufferManager::FixPage(PageId id) {
   if (it != shard.page_table.end()) {
     size_t frame = it->second;
     Frame& f = frames_[frame];
-    if (f.in_lru) {
-      shard.lru.erase(f.lru_pos);
-      f.in_lru = false;
-    }
+    if (!f.referenced) f.referenced = true;
     f.pin_count.fetch_add(1, std::memory_order_relaxed);
     shard.hits.fetch_add(1, std::memory_order_relaxed);
     return PageHandle(this, id, frame);
@@ -181,6 +177,7 @@ StatusOr<PageHandle> BufferManager::FixPage(PageId id) {
   f.page_id = id;
   f.pin_count.store(1, std::memory_order_relaxed);
   f.dirty.store(false, std::memory_order_relaxed);
+  f.referenced = true;
   shard.page_table[id] = frame;
   return PageHandle(this, id, frame);
 }
@@ -202,6 +199,7 @@ StatusOr<PageHandle> BufferManager::NewPage() {
   f.page_id = id;
   f.pin_count.store(1, std::memory_order_relaxed);
   f.dirty.store(true, std::memory_order_relaxed);
+  f.referenced = true;
   shard.page_table[id] = frame;
   return PageHandle(this, id, frame);
 }
@@ -211,8 +209,8 @@ Status BufferManager::FlushAll() {
     Shard& shard = shards_[s];
     obs::LedgeredMutexLock lock(shard.mutex, obs::LockClass::kBufferShard,
                                 ShardInstance(s));
-    for (Frame& f : frames_) {
-      if (f.shard != s) continue;
+    for (size_t i = shard.begin; i < shard.begin + shard.count; ++i) {
+      Frame& f = frames_[i];
       if (f.page_id != kInvalidPage &&
           f.dirty.load(std::memory_order_relaxed)) {
         NATIX_RETURN_IF_ERROR(file_->WritePage(f.page_id, f.data.get()));

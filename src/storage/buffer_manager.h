@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <mutex>
 #include <memory>
 #include <unordered_map>
@@ -48,16 +47,22 @@ class PageHandle {
   size_t frame_ = 0;
 };
 
-/// A striped pin/unpin buffer manager with per-shard LRU replacement over
-/// a PagedFile — the "Natix page buffer" the paper's physical algebra
+/// A striped pin/unpin buffer manager with per-shard clock replacement
+/// over a PagedFile — the "Natix page buffer" the paper's physical algebra
 /// navigates directly (Sec. 5.2.2).
 ///
 /// The pool is partitioned into `shards` independent stripes; a page
 /// belongs to the shard `page_id % shards`, and each shard serializes its
-/// own page table, free list and LRU behind its own mutex, so concurrent
-/// read-only executions contend per stripe instead of on one pool-wide
-/// lock. Pin counts are atomic per frame: copying an already-valid
-/// PageHandle (an extra pin on a pinned frame) never takes a lock.
+/// own page table, free list and clock hand behind its own mutex, so
+/// concurrent read-only executions contend per stripe instead of on one
+/// pool-wide lock. A fix takes that mutex once; releasing a pin is one
+/// atomic decrement and takes no lock, and neither does copying an
+/// already-valid PageHandle (an extra pin on a pinned frame).
+///
+/// Replacement is the clock (second-chance) algorithm over the shard's
+/// contiguous frame range: a fix sets the frame's reference bit, and the
+/// hand skips pinned frames and clears set bits until it reaches an
+/// unpinned frame whose bit is clear.
 ///
 /// Thread safety: FixPage/NewPage/FlushAll/Snapshot and handle
 /// copy/release may be called from any thread. Writers (document
@@ -67,8 +72,7 @@ class BufferManager {
  public:
   /// `capacity` is the number of page frames held in memory, distributed
   /// as evenly as possible over `shards` stripes (capacity must be >=
-  /// shards; shards >= 1). One shard reproduces the classic single-lock,
-  /// single-LRU pool exactly.
+  /// shards; shards >= 1). One shard gives the classic single-lock pool.
   BufferManager(PagedFile* file, size_t capacity, size_t shards = 1);
   ~BufferManager();
 
@@ -93,7 +97,7 @@ class BufferManager {
     uint64_t faults = 0;     ///< pages faulted in from the file
     uint64_t hits = 0;       ///< fixes served from the pool
     uint64_t writes = 0;     ///< dirty pages written back
-    uint64_t evictions = 0;  ///< frames reclaimed from an LRU list
+    uint64_t evictions = 0;  ///< resident pages replaced by the clock
   };
   CounterSnapshot Snapshot() const;
 
@@ -124,32 +128,38 @@ class BufferManager {
 
   size_t capacity() const { return frames_.size(); }
   size_t shard_count() const { return shards_.size(); }
+  /// Frames of the smallest shard.
+  size_t min_shard_frames() const { return capacity() / shard_count(); }
 
  private:
   friend class PageHandle;
 
   struct Frame {
     PageId page_id = kInvalidPage;
-    /// The owning shard (fixed at construction).
-    uint32_t shard = 0;
     /// Atomic so an extra pin on an already-pinned frame (handle copy)
-    /// and the fast path of Unpin skip the shard mutex. A frame with
-    /// pin_count > 0 is never in an LRU list and never evicted.
+    /// and Unpin skip the shard mutex. Goes from 0 to 1 only under the
+    /// shard mutex (FixPage/NewPage), so the clock hand, which holds it,
+    /// never evicts a frame that is being pinned. A frame with
+    /// pin_count > 0 is never evicted.
     std::atomic<uint32_t> pin_count{0};
     /// Relaxed atomic: set by writers holding a pin, read by eviction /
     /// flush under the shard mutex.
     std::atomic<bool> dirty{false};
-    /// Position in the shard's lru when unpinned.
-    std::list<size_t>::iterator lru_pos;
-    bool in_lru = false;
+    /// Clock reference bit, guarded by the shard mutex: set by a fix
+    /// (only when clear, so repeated hits on a hot frame do not store it
+    /// again), cleared by the passing hand.
+    bool referenced = false;
     std::unique_ptr<uint8_t[]> data;
   };
 
   struct Shard {
     mutable std::mutex mutex;
     std::vector<size_t> free_frames;
-    /// Unpinned frames, least recently used first (global frame indices).
-    std::list<size_t> lru;
+    /// The shard's frames are the global indices [begin, begin + count).
+    size_t begin = 0;
+    size_t count = 0;
+    /// Clock hand: the next frame offset (within the range) to inspect.
+    size_t hand = 0;
     std::unordered_map<PageId, size_t> page_table;
     // Counters are incremented only under `mutex`; atomic so the lock-free
     // accessors above may read them concurrently.
@@ -171,8 +181,9 @@ class BufferManager {
 
   void Pin(size_t frame);
   void Unpin(size_t frame);
-  /// Claims a frame for `shard` from its free list or by evicting its LRU
-  /// victim. Caller holds the shard mutex.
+  /// Claims a frame for `shard` from its free list or by evicting the
+  /// clock's victim; ResourceExhausted when two full sweeps of the hand
+  /// find every frame pinned. Caller holds the shard mutex.
   StatusOr<size_t> ClaimFrame(Shard& shard);
 
   PagedFile* file_;

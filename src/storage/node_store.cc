@@ -1,6 +1,8 @@
 #include "storage/node_store.h"
 
+#include <algorithm>
 #include <cstring>
+#include <iterator>
 
 #include "base/logging.h"
 #include "storage/slotted_page.h"
@@ -350,65 +352,169 @@ Status NodeStore::SetLink(NodeId node, LinkField field, NodeId target) {
 }
 
 Status NodeStore::ReadNode(NodeId node, NodeRecord* record) const {
+  return NodeAccessor(this).ReadNode(node, record);
+}
+
+Status NodeStore::ReadHeader(NodeId node, NodeHeader* header) const {
+  return NodeAccessor(this).ReadHeader(node, header);
+}
+
+StatusOr<std::string> NodeStore::ReadContent(NodeId node) const {
+  return NodeAccessor(this).ReadContent(node);
+}
+
+StatusOr<std::string> NodeStore::StringValue(NodeId node) const {
+  return NodeAccessor(this).StringValue(node);
+}
+
+NodeAccessor::NodeAccessor(const NodeStore* store) : store_(store) {
+  std::fill(std::begin(pages_), std::end(pages_), kInvalidPage);
+  if (store != nullptr &&
+      store->buffer_manager()->min_shard_frames() >= kMinShardFrames) {
+    slots_ = kMaxPages;
+  }
+}
+
+Status NodeAccessor::Record(NodeId node, RecordBytes* out) {
   if (!node.valid()) return Status::InvalidArgument("invalid node id");
-  NATIX_ASSIGN_OR_RETURN(PageHandle page, buffer_->FixPage(node.page));
-  auto [p, size] = SlottedPage::Read(page.data(), node.slot);
-  if (size < kFixedSize) return Status::Corruption("short node record");
-  record->kind = static_cast<StoredNodeKind>(p[kOffKind]);
-  bool overflow = (p[kOffFlags] & kFlagOverflow) != 0;
-  record->text_overflow = overflow;
-  std::memcpy(&record->name_id, p + kOffNameId, 4);
-  std::memcpy(&record->order, p + kOffOrder, 8);
-  record->parent = DecodeLink(p + kOffParent);
-  record->first_child = DecodeLink(p + kOffFirstChild);
-  record->last_child = DecodeLink(p + kOffLastChild);
-  record->next_sibling = DecodeLink(p + kOffNextSibling);
-  record->prev_sibling = DecodeLink(p + kOffPrevSibling);
-  record->first_attr = DecodeLink(p + kOffFirstAttr);
-  uint32_t content_len;
-  std::memcpy(&content_len, p + kOffContentLen, 4);
-  record->inline_text.clear();
-  record->overflow_head = kInvalidNodeId;
-  record->overflow_length = 0;
-  if (overflow) {
-    record->overflow_head = DecodeLink(p + kFixedSize);
-    record->overflow_length = content_len;
-  } else {
-    record->inline_text.assign(reinterpret_cast<const char*>(p + kFixedSize),
-                               content_len);
+  if (pages_[current_] != node.page) {
+    size_t slot = 0;
+    while (slot < slots_ && pages_[slot] != node.page) ++slot;
+    if (slot == slots_) {
+      // Not in the set: replace the least recently read page (an empty
+      // slot has stamp 0).
+      slot = 0;
+      for (size_t i = 1; i < slots_; ++i) {
+        if (stamps_[i] < stamps_[slot]) slot = i;
+      }
+      NATIX_RETURN_IF_ERROR(Fix(slot, node.page));
+    }
+    current_ = slot;
+    stamps_[slot] = ++tick_;
+  }
+  auto [p, size] = SlottedPage::Read(data_[current_], node.slot);
+  *out = RecordBytes{p, size};
+  return Status::OK();
+}
+
+Status NodeAccessor::Fix(size_t slot, PageId id) {
+  handles_[slot].Release();
+  pages_[slot] = kInvalidPage;
+  stamps_[slot] = 0;
+  BufferManager* pool = store_->buffer_manager_for_accessor();
+  StatusOr<PageHandle> fixed = pool->FixPage(id);
+  if (!fixed.ok() &&
+      fixed.status().code() == StatusCode::kResourceExhausted) {
+    // Our own pins may be what fills the shard: drop them and retry once.
+    ReleaseAll();
+    fixed = pool->FixPage(id);
+  }
+  if (!fixed.ok()) return fixed.status();
+  handles_[slot] = std::move(fixed).value();
+  pages_[slot] = id;
+  data_[slot] = handles_[slot].data();
+  return Status::OK();
+}
+
+Status NodeAccessor::ReadHeader(NodeId node, NodeHeader* header) {
+  RecordBytes rec;
+  NATIX_RETURN_IF_ERROR(Record(node, &rec));
+  if (rec.size < kFixedSize) return Status::Corruption("short node record");
+  DecodeHeader(rec.data, header);
+  return Status::OK();
+}
+
+/// The content part of a node record: its inline bytes (a view into the
+/// page, valid until the next read), or the head of its overflow chain.
+struct NodeAccessor::Content {
+  std::string_view inline_bytes;
+  NodeId overflow_head;
+  uint32_t length = 0;
+};
+
+Status NodeAccessor::Decode(NodeId node, NodeHeader* header,
+                            Content* content) {
+  RecordBytes rec;
+  NATIX_RETURN_IF_ERROR(Record(node, &rec));
+  const uint8_t* p = rec.data;
+  if (rec.size < kFixedSize) return Status::Corruption("short node record");
+  DecodeHeader(p, header);
+  *content = Content{};
+  std::memcpy(&content->length, p + kOffContentLen, 4);
+  if ((p[kOffFlags] & kFlagOverflow) != 0) {
+    if (rec.size < kFixedSize + kChunkHeaderSize) {
+      return Status::Corruption("short overflow node record");
+    }
+    content->overflow_head = DecodeLink(p + kFixedSize);
+    return Status::OK();
+  }
+  if (content->length > rec.size - kFixedSize) {
+    return Status::Corruption("node content overruns its record");
+  }
+  content->inline_bytes = std::string_view(
+      reinterpret_cast<const char*>(p + kFixedSize), content->length);
+  return Status::OK();
+}
+
+Status NodeAccessor::ReadNode(NodeId node, NodeRecord* record) {
+  NodeHeader header;
+  Content content;
+  NATIX_RETURN_IF_ERROR(Decode(node, &header, &content));
+  record->kind = header.kind;
+  record->name_id = header.name_id;
+  record->order = header.order;
+  record->parent = header.parent;
+  record->first_child = header.first_child;
+  record->last_child = header.last_child;
+  record->next_sibling = header.next_sibling;
+  record->prev_sibling = header.prev_sibling;
+  record->first_attr = header.first_attr;
+  record->text_overflow = content.overflow_head.valid();
+  record->inline_text.assign(content.inline_bytes);
+  record->overflow_head = content.overflow_head;
+  record->overflow_length = content.overflow_head.valid() ? content.length : 0;
+  return Status::OK();
+}
+
+Status NodeAccessor::AppendContent(const Content& content, std::string* out) {
+  if (!content.overflow_head.valid()) {
+    out->append(content.inline_bytes);
+    return Status::OK();
+  }
+  out->reserve(out->size() + content.length);
+  NodeId chunk = content.overflow_head;
+  while (chunk.valid()) {
+    RecordBytes rec;
+    NATIX_RETURN_IF_ERROR(Record(chunk, &rec));
+    if (rec.size < kChunkHeaderSize) return Status::Corruption("short chunk");
+    chunk = DecodeLink(rec.data);
+    out->append(reinterpret_cast<const char*>(rec.data + kChunkHeaderSize),
+                rec.size - kChunkHeaderSize);
   }
   return Status::OK();
 }
 
-StatusOr<std::string> NodeStore::ReadContent(NodeId node) const {
-  NodeRecord record;
-  NATIX_RETURN_IF_ERROR(ReadNode(node, &record));
-  if (!record.text_overflow) return std::move(record.inline_text);
+StatusOr<std::string> NodeAccessor::ReadContent(NodeId node) {
+  NodeHeader header;
+  Content content;
+  NATIX_RETURN_IF_ERROR(Decode(node, &header, &content));
   std::string out;
-  out.reserve(record.overflow_length);
-  NodeId chunk = record.overflow_head;
-  while (chunk.valid()) {
-    NATIX_ASSIGN_OR_RETURN(PageHandle page, buffer_->FixPage(chunk.page));
-    auto [p, size] = SlottedPage::Read(page.data(), chunk.slot);
-    if (size < kChunkHeaderSize) return Status::Corruption("short chunk");
-    NodeId next = DecodeLink(p);
-    out.append(reinterpret_cast<const char*>(p + kChunkHeaderSize),
-               size - kChunkHeaderSize);
-    chunk = next;
-  }
+  NATIX_RETURN_IF_ERROR(AppendContent(content, &out));
   return out;
 }
 
-StatusOr<std::string> NodeStore::StringValue(NodeId node) const {
-  NodeRecord record;
-  NATIX_RETURN_IF_ERROR(ReadNode(node, &record));
-  if (record.kind != StoredNodeKind::kElement &&
-      record.kind != StoredNodeKind::kDocument) {
-    return ReadContent(node);
+StatusOr<std::string> NodeAccessor::StringValue(NodeId node) {
+  NodeHeader header;
+  Content content;
+  NATIX_RETURN_IF_ERROR(Decode(node, &header, &content));
+  std::string out;
+  if (header.kind != StoredNodeKind::kElement &&
+      header.kind != StoredNodeKind::kDocument) {
+    NATIX_RETURN_IF_ERROR(AppendContent(content, &out));
+    return out;
   }
   // Concatenate descendant text nodes via an explicit traversal.
-  std::string out;
-  NodeId current = record.first_child;
+  NodeId current = header.first_child;
   std::vector<NodeId> stack;
   while (current.valid() || !stack.empty()) {
     if (!current.valid()) {
@@ -416,45 +522,35 @@ StatusOr<std::string> NodeStore::StringValue(NodeId node) const {
       stack.pop_back();
       continue;
     }
-    NodeRecord r;
-    NATIX_RETURN_IF_ERROR(ReadNode(current, &r));
-    if (r.kind == StoredNodeKind::kText) {
-      if (r.text_overflow) {
-        NATIX_ASSIGN_OR_RETURN(std::string chunked, ReadContent(current));
-        out += chunked;
-      } else {
-        out += r.inline_text;
-      }
+    NATIX_RETURN_IF_ERROR(Decode(current, &header, &content));
+    if (header.kind == StoredNodeKind::kText) {
+      NATIX_RETURN_IF_ERROR(AppendContent(content, &out));
     }
-    if (r.kind == StoredNodeKind::kElement && r.first_child.valid()) {
-      if (r.next_sibling.valid()) stack.push_back(r.next_sibling);
-      current = r.first_child;
+    if (header.kind == StoredNodeKind::kElement &&
+        header.first_child.valid()) {
+      if (header.next_sibling.valid()) stack.push_back(header.next_sibling);
+      current = header.first_child;
     } else {
-      current = r.next_sibling;
+      current = header.next_sibling;
     }
   }
   return out;
 }
 
-Status NodeStore::ReadHeader(NodeId node, NodeHeader* header) const {
-  if (!node.valid()) return Status::InvalidArgument("invalid node id");
-  NATIX_ASSIGN_OR_RETURN(PageHandle page, buffer_->FixPage(node.page));
-  auto [p, size] = SlottedPage::Read(page.data(), node.slot);
-  if (size < kFixedSize) return Status::Corruption("short node record");
-  DecodeHeader(p, header);
-  return Status::OK();
+void NodeAccessor::ReleaseAll() {
+  for (size_t i = 0; i < slots_; ++i) {
+    handles_[i].Release();
+    pages_[i] = kInvalidPage;
+    stamps_[i] = 0;
+  }
 }
 
-Status NodeAccessor::ReadHeader(NodeId node, NodeHeader* header) {
-  if (!node.valid()) return Status::InvalidArgument("invalid node id");
-  if (!cached_.valid() || cached_.page_id() != node.page) {
-    NATIX_ASSIGN_OR_RETURN(
-        cached_, store_->buffer_manager_for_accessor()->FixPage(node.page));
+size_t NodeAccessor::pinned_pages() const {
+  size_t pinned = 0;
+  for (size_t i = 0; i < slots_; ++i) {
+    if (handles_[i].valid()) ++pinned;
   }
-  auto [p, size] = SlottedPage::Read(cached_.data(), node.slot);
-  if (size < kFixedSize) return Status::Corruption("short node record");
-  DecodeHeader(p, header);
-  return Status::OK();
+  return pinned;
 }
 
 Status NodeStore::AddDocument(const DocumentInfo& info) {

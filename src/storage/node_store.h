@@ -104,7 +104,7 @@ class NodeStore {
   struct Options {
     /// Buffer pool size in frames (pages).
     size_t buffer_pages = 4096;
-    /// Number of buffer-pool stripes (each with its own mutex and LRU).
+    /// Number of buffer-pool stripes (each with its own mutex and clock).
     /// 1 reproduces the classic single-lock pool; concurrent read-only
     /// workloads want one stripe per expected thread or so. Must not
     /// exceed buffer_pages.
@@ -145,19 +145,12 @@ class NodeStore {
   uint64_t NextOrderKey() { return next_order_key_++; }
 
   // -- Node access --------------------------------------------------------
+  // One-off reads through a call-local NodeAccessor (see its methods);
+  // query execution reads through its own accessor instead.
 
-  /// Decodes the record of `node`.
   Status ReadNode(NodeId node, NodeRecord* record) const;
-
-  /// Decodes only the navigation header (no content copy).
   Status ReadHeader(NodeId node, NodeHeader* header) const;
-
-  /// Returns the node's content (attribute value / text / comment / PI
-  /// data), assembling overflow chains when necessary.
   StatusOr<std::string> ReadContent(NodeId node) const;
-
-  /// XPath string-value: for elements/documents, the concatenation of all
-  /// descendant text nodes; for other kinds the content itself.
   StatusOr<std::string> StringValue(NodeId node) const;
 
   // -- Catalog & dictionary ------------------------------------------------
@@ -201,20 +194,98 @@ class NodeStore {
   uint64_t next_order_key_ = 0;
 };
 
-/// A read-through accessor that keeps the most recently touched page
-/// pinned, so chains of header reads along sibling/child links (the axis
-/// cursor hot path) skip the buffer-manager lookup while they stay on one
-/// page.
+/// The read path for node records: a small set of pinned pages. Each
+/// query execution owns one and every node read of the execution goes
+/// through it, so reads that land on a page of the set (an axis walk
+/// along sibling/child links, the climb to a context's ancestors, the
+/// string-value of a subtree) touch no buffer-manager state at all. The
+/// NodeStore read methods are thin wrappers over a call-local accessor.
+///
+/// The set holds kMaxPages pages when every buffer shard has at least
+/// kMinShardFrames frames, else one, so a few executions cannot pin a
+/// small pool solid. A read of a page outside the set replaces the least
+/// recently read page. Every read returns a decoded copy; no pointer into
+/// a page outlives the call that produced it. When a fix finds its shard
+/// fully pinned, the accessor drops its own pins and retries once.
+/// Pins are held until ReleaseAll (or destruction): an execution releases
+/// them when each Evaluate* call returns, on every path.
+///
+/// Single-threaded, like the execution that owns it.
 class NodeAccessor {
  public:
-  NodeAccessor() = default;
-  explicit NodeAccessor(const NodeStore* store) : store_(store) {}
+  static constexpr size_t kMaxPages = 8;
+  static constexpr size_t kMinShardFrames = 64;
 
+  NodeAccessor() : NodeAccessor(nullptr) {}
+  explicit NodeAccessor(const NodeStore* store);
+  NodeAccessor(const NodeAccessor&) = delete;
+  NodeAccessor& operator=(const NodeAccessor&) = delete;
+  NodeAccessor(NodeAccessor&&) = default;
+  NodeAccessor& operator=(NodeAccessor&&) = default;
+
+  /// Decodes only the navigation header (no content copy).
   Status ReadHeader(NodeId node, NodeHeader* header);
 
+  /// Decodes the whole record, inline content included.
+  Status ReadNode(NodeId node, NodeRecord* record);
+
+  /// The node's content (attribute value / text / comment / PI data),
+  /// assembling overflow chains when necessary.
+  StatusOr<std::string> ReadContent(NodeId node);
+
+  /// XPath string-value: for elements/documents, the concatenation of all
+  /// descendant text nodes; for other kinds the content itself.
+  StatusOr<std::string> StringValue(NodeId node);
+
+  /// Unpins every page of the set.
+  void ReleaseAll();
+
+  /// Pages currently pinned by the set.
+  size_t pinned_pages() const;
+
  private:
+  /// The bytes of a node's record, valid until the next read.
+  struct RecordBytes {
+    const uint8_t* data = nullptr;
+    uint16_t size = 0;
+  };
+
+  struct Content;
+
+  Status Record(NodeId node, RecordBytes* out);
+  /// Pins page `id` into `slot`, unpinning the slot's previous page.
+  Status Fix(size_t slot, PageId id);
+  /// Decodes the header and content of `node`'s record; Corruption when
+  /// the record is too short for them.
+  Status Decode(NodeId node, NodeHeader* header, Content* content);
+  /// Appends `content` to *out, following its overflow chain.
+  Status AppendContent(const Content& content, std::string* out);
+
   const NodeStore* store_ = nullptr;
-  PageHandle cached_;
+  /// Slots in use: kMaxPages, or 1 on a small pool.
+  size_t slots_ = 1;
+  /// The slot of the latest read, tried first.
+  size_t current_ = 0;
+  /// Read clock: a slot's stamp is the tick at which reads moved to it
+  /// (0 when empty). Reads stay on one slot until they move, so ordering
+  /// by stamp is ordering by last read.
+  uint64_t tick_ = 0;
+  PageId pages_[kMaxPages];
+  uint64_t stamps_[kMaxPages] = {};
+  const uint8_t* data_[kMaxPages] = {};
+  PageHandle handles_[kMaxPages];
+};
+
+/// Releases an accessor's pins when it goes out of scope.
+class PageSetRelease {
+ public:
+  explicit PageSetRelease(NodeAccessor* nodes) : nodes_(nodes) {}
+  ~PageSetRelease() { nodes_->ReleaseAll(); }
+  PageSetRelease(const PageSetRelease&) = delete;
+  PageSetRelease& operator=(const PageSetRelease&) = delete;
+
+ private:
+  NodeAccessor* nodes_;
 };
 
 }  // namespace natix::storage

@@ -3,16 +3,16 @@
 namespace natix::storage {
 
 StatusOr<StoredNodeKind> StoredNode::kind() const {
-  NodeRecord record;
-  NATIX_RETURN_IF_ERROR(store_->ReadNode(id_, &record));
-  return record.kind;
+  NodeHeader header;
+  NATIX_RETURN_IF_ERROR(store_->ReadHeader(id_, &header));
+  return header.kind;
 }
 
 StatusOr<std::string> StoredNode::name() const {
-  NodeRecord record;
-  NATIX_RETURN_IF_ERROR(store_->ReadNode(id_, &record));
-  if (record.name_id == kInvalidNameId) return std::string();
-  return store_->names()->NameOf(record.name_id);
+  NodeHeader header;
+  NATIX_RETURN_IF_ERROR(store_->ReadHeader(id_, &header));
+  if (header.name_id == kInvalidNameId) return std::string();
+  return store_->names()->NameOf(header.name_id);
 }
 
 StatusOr<std::string> StoredNode::content() const {
@@ -24,31 +24,31 @@ StatusOr<std::string> StoredNode::string_value() const {
 }
 
 StatusOr<uint64_t> StoredNode::order() const {
-  NodeRecord record;
-  NATIX_RETURN_IF_ERROR(store_->ReadNode(id_, &record));
-  return record.order;
+  NodeHeader header;
+  NATIX_RETURN_IF_ERROR(store_->ReadHeader(id_, &header));
+  return header.order;
 }
 
-StatusOr<StoredNode> StoredNode::Link(NodeId NodeRecord::* field) const {
-  NodeRecord record;
-  NATIX_RETURN_IF_ERROR(store_->ReadNode(id_, &record));
-  return StoredNode(store_, record.*field);
+StatusOr<StoredNode> StoredNode::Link(NodeId NodeHeader::* field) const {
+  NodeHeader header;
+  NATIX_RETURN_IF_ERROR(store_->ReadHeader(id_, &header));
+  return StoredNode(store_, header.*field);
 }
 
 StatusOr<StoredNode> StoredNode::parent() const {
-  return Link(&NodeRecord::parent);
+  return Link(&NodeHeader::parent);
 }
 StatusOr<StoredNode> StoredNode::first_child() const {
-  return Link(&NodeRecord::first_child);
+  return Link(&NodeHeader::first_child);
 }
 StatusOr<StoredNode> StoredNode::next_sibling() const {
-  return Link(&NodeRecord::next_sibling);
+  return Link(&NodeHeader::next_sibling);
 }
 StatusOr<StoredNode> StoredNode::prev_sibling() const {
-  return Link(&NodeRecord::prev_sibling);
+  return Link(&NodeHeader::prev_sibling);
 }
 StatusOr<StoredNode> StoredNode::first_attribute() const {
-  return Link(&NodeRecord::first_attr);
+  return Link(&NodeHeader::first_attr);
 }
 
 }  // namespace natix::storage

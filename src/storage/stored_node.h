@@ -40,7 +40,7 @@ class StoredNode {
   }
 
  private:
-  StatusOr<StoredNode> Link(NodeId NodeRecord::* field) const;
+  StatusOr<StoredNode> Link(NodeId NodeHeader::* field) const;
 
   const NodeStore* store_ = nullptr;
   NodeId id_;

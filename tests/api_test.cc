@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace natix {
 namespace {
@@ -204,6 +205,72 @@ TEST(DatabaseTest, ExecutionStatsTrackWork) {
   ASSERT_TRUE(small.ok());
   ASSERT_TRUE((*small)->EvaluateNodes(info->root).ok());
   EXPECT_LT((*small)->last_stats().step_tuples, big_stats.step_tuples);
+}
+
+TEST(DatabaseTest, IdleExecutionsHoldNoPins) {
+  // An execution pins the pages it reads in its page set and must drop
+  // them when each Evaluate* call returns, on every path. Eight
+  // executions on document "d" are left idle after a normal run, a Limit
+  // early exit, a deadline abort and an error; then 16 distinct pages of
+  // document "pad", which no query reads, must all pin at once in the
+  // 16-page pool: a pin left on any page of "d" takes a frame.
+  Database::Options options;
+  options.buffer_pages = 16;
+  options.buffer_shards = 1;
+  auto db = Database::CreateTemp(options);
+  ASSERT_TRUE(db.ok());
+  std::string xml = "<r>";
+  for (int i = 0; i < 2000; ++i) {
+    xml += "<e i='" + std::to_string(i) + "'>" + std::string(100, 't') +
+           "</e>";
+  }
+  xml += "</r>";
+  auto info = (*db)->LoadDocument("d", xml);
+  ASSERT_TRUE(info.ok());
+  // Loaded second, so its pages follow all of "d"'s.
+  auto pad = (*db)->LoadDocument("pad", xml);
+  ASSERT_TRUE(pad.ok());
+
+  std::vector<std::unique_ptr<PreparedQuery::Execution>> idle;
+  auto compile = [&](const char* xpath) {
+    auto exec = (*db)->Compile(xpath);
+    EXPECT_TRUE(exec.ok()) << xpath;
+    idle.push_back(std::move(exec).value());
+    return idle.back().get();
+  };
+  for (int round = 0; round < 2; ++round) {
+    auto all = compile("//e");
+    auto nodes = all->EvaluateNodes(info->root);
+    ASSERT_TRUE(nodes.ok());
+    EXPECT_EQ(nodes->size(), 2000u);
+
+    auto first = compile("/r/e[position() = 1]");
+    auto one = first->EvaluateNodes(info->root);
+    ASSERT_TRUE(one.ok());
+    EXPECT_EQ(one->size(), 1u);
+
+    auto late = compile("//e");
+    late->SetDeadlineNs(1);  // long past
+    EXPECT_EQ(late->EvaluateNodes(info->root).status().code(),
+              StatusCode::kDeadlineExceeded);
+
+    // A scalar plan run as a node set fails after the context node's
+    // page entered the page set.
+    auto wrong = compile("count(//e)");
+    EXPECT_EQ(wrong->EvaluateNodes(info->root).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  ASSERT_EQ(idle.size(), 8u);
+
+  storage::BufferManager* pool = (*db)->store()->buffer_manager();
+  std::vector<storage::PageHandle> pinned;
+  for (storage::PageId i = 0; i < 16; ++i) {
+    const storage::PageId id = pad->root.page + i;
+    auto page = pool->FixPage(id);
+    ASSERT_TRUE(page.ok()) << "page " << id << ": "
+                           << page.status().ToString();
+    pinned.push_back(std::move(page).value());
+  }
 }
 
 TEST(DatabaseTest, MemoizedQueryReuseStaysCorrect) {

@@ -64,7 +64,8 @@ class AxisConformance {
   /// order).
   std::vector<uint64_t> RunCursor(Axis axis, const NodeTest& test,
                                   uint64_t context_order) const {
-    AxisCursor cursor(store_.get());
+    storage::NodeAccessor nodes(store_.get());
+    AxisCursor cursor(&nodes);
     NATIX_CHECK(cursor.Open(axis, test, StoreNode(context_order)).ok());
     std::vector<uint64_t> out;
     while (true) {

@@ -114,8 +114,11 @@ StatusOr<Value> Evaluate(const Scalar& scalar, const Value& tuple_value,
   Vm vm(&program);
   runtime::RegisterFile registers(1);
   registers[0] = tuple_value;
+  storage::NodeAccessor nodes;
+  if (store != nullptr) nodes = storage::NodeAccessor(store);
   runtime::EvalContext ctx;
   ctx.store = store;
+  ctx.nodes = &nodes;
   std::unordered_map<std::string, Value> variables;
   variables["v"] = Value::Number(42);
   return vm.Run(registers, ctx, variables,

@@ -24,13 +24,16 @@ struct StoreFixture {
         storage::LoadDocument(store.get(), "doc", "<a>12<b>34</b></a>");
     NATIX_CHECK(info.ok());
     root = info->root;
+    nodes = storage::NodeAccessor(store.get());
     ctx.store = store.get();
+    ctx.nodes = &nodes;
   }
 
   NodeRef RootRef() const { return NodeRef::Make(root, 0); }
 
   std::unique_ptr<storage::NodeStore> store;
   storage::NodeId root;
+  storage::NodeAccessor nodes;
   EvalContext ctx;
 };
 

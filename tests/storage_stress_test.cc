@@ -130,9 +130,10 @@ TEST(StorageStressTest, ManySmallDocuments) {
 }
 
 TEST(StorageStressTest, PinnedCursorOverflowFailsCleanly) {
-  // Every open axis cursor keeps one page pinned. A plan deeper than the
-  // buffer pool must fail with ResourceExhausted — never crash or
-  // corrupt.
+  // Navigation over a 2-frame pool. A one-off node read pins its page
+  // only for the duration of the read, so a deep walk normally succeeds;
+  // either way it must never crash or corrupt, and the only acceptable
+  // failure is ResourceExhausted.
   NodeStore::Options options;
   options.buffer_pages = 2;
   auto store = NodeStore::CreateTemp(options);

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
+#include <cstring>
+#include <random>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "storage/buffer_manager.h"
 #include "storage/document_loader.h"
@@ -160,6 +165,94 @@ TEST(BufferManagerTest, CopyingHandleAddsPin) {
   EXPECT_FALSE(c.ok());
 }
 
+TEST(BufferManagerTest, ClockNeverEvictsPinnedFrames) {
+  auto file = PagedFile::OpenTemp();
+  ASSERT_TRUE(file.ok());
+  // Two shards of two frames: even pages live in shard 0, odd in shard 1.
+  BufferManager bm(file->get(), 4, 2);
+  for (int i = 0; i < 8; ++i) {
+    auto page = bm.NewPage();
+    ASSERT_TRUE(page.ok()) << page.status().ToString();
+    ASSERT_EQ(page->page_id(), static_cast<PageId>(i));
+    page->mutable_data()[0] = static_cast<uint8_t>(10 + i);
+  }
+  // Pin both frames of shard 0. However often the hand sweeps, it may
+  // not take either: the next shard-0 fault must fail, cleanly.
+  auto p0 = bm.FixPage(0);
+  auto p2 = bm.FixPage(2);
+  ASSERT_TRUE(p0.ok() && p2.ok());
+  auto p4 = bm.FixPage(4);
+  ASSERT_FALSE(p4.ok());
+  EXPECT_EQ(p4.status().code(), StatusCode::kResourceExhausted);
+  // Shard 1 is unaffected.
+  auto p1 = bm.FixPage(1);
+  ASSERT_TRUE(p1.ok());
+  EXPECT_EQ(p1->data()[0], 11);
+  // Releasing one pin lets the next fault succeed, and it evicts the
+  // released frame, not the pinned one.
+  p2->Release();
+  p4 = bm.FixPage(4);
+  ASSERT_TRUE(p4.ok()) << p4.status().ToString();
+  EXPECT_EQ(p4->data()[0], 14);
+  EXPECT_EQ(p0->data()[0], 10);
+  const uint64_t faults = bm.fault_count();
+  auto again = bm.FixPage(0);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(bm.fault_count(), faults);  // p0 stayed resident
+}
+
+TEST(BufferManagerTest, ConcurrentFixAndReleaseKeepPagesIntact) {
+  // Four threads fix and release random pages among 64 stamped pages
+  // through an 8-frame, 2-shard pool: constant eviction, and Unpin
+  // (lock-free) racing the clock hand (under the shard mutex). Every
+  // read checks that the frame holds the page it was fixed for.
+  auto file = PagedFile::OpenTemp();
+  ASSERT_TRUE(file.ok());
+  BufferManager bm(file->get(), 8, 2);
+  constexpr PageId kPages = 64;
+  auto stamp = [](const uint8_t* data) {
+    PageId head;
+    PageId tail;
+    std::memcpy(&head, data, sizeof(head));
+    std::memcpy(&tail, data + kPageSize - sizeof(tail), sizeof(tail));
+    return head == tail ? head : kInvalidPage;
+  };
+  for (PageId i = 0; i < kPages; ++i) {
+    auto page = bm.NewPage();
+    ASSERT_TRUE(page.ok()) << page.status().ToString();
+    ASSERT_EQ(page->page_id(), i);
+    uint8_t* data = page->mutable_data();
+    std::memcpy(data, &i, sizeof(i));
+    std::memcpy(data + kPageSize - sizeof(i), &i, sizeof(i));
+  }
+  ASSERT_TRUE(bm.FlushAll().ok());
+
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      std::mt19937 rng(static_cast<uint32_t>(t + 1));
+      for (int i = 0; i < 2000; ++i) {
+        PageId id = static_cast<PageId>(rng() % kPages);
+        auto page = bm.FixPage(id);
+        if (!page.ok() || stamp(page->data()) != id) {
+          ++failures;
+          continue;
+        }
+        if (i % 3 == 0) {
+          // A handle copy pins without the shard mutex.
+          PageHandle copy = *page;
+          page->Release();
+          if (stamp(copy.data()) != id) ++failures;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(bm.eviction_count(), 0u);
+}
+
 NodeStore::Options SmallOptions() {
   NodeStore::Options options;
   options.buffer_pages = 64;
@@ -236,6 +329,13 @@ TEST(NodeStoreTest, LongTextUsesOverflowChain) {
   auto value = a.string_value();
   ASSERT_TRUE(value.ok());
   EXPECT_EQ(*value, long_text);
+
+  // Overflowed and inline text nodes mixed in one string-value.
+  auto mixed = LoadDocument(store->get(), "mixed",
+                            "<a>" + long_text + "<b>x</b>y</a>");
+  ASSERT_TRUE(mixed.ok()) << mixed.status().ToString();
+  StoredNode mixed_root(store->get(), mixed->root);
+  EXPECT_EQ(*mixed_root.string_value(), long_text + "xy");
 }
 
 TEST(NodeStoreTest, ManyNodesSpanManyPages) {
