@@ -137,7 +137,8 @@ void PrintOp(const Operator& op, int depth, std::string* out) {
               (op.ctx_attr.empty() ? "" : ", reset on " + op.ctx_attr) + "]";
       break;
     case OpKind::kUnnestMap:
-      *out += "[" + op.attr + " := " + op.ctx_attr + "/" +
+      *out += std::string(op.reverse ? "^rev" : "") + "[" + op.attr +
+              " := " + op.ctx_attr + "/" +
               runtime::AxisName(op.axis) + "::" + op.test.ToString() + "]";
       break;
     case OpKind::kDupElim:

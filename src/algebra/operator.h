@@ -122,6 +122,10 @@ struct Operator {
   // kUnnestMap:
   runtime::Axis axis = runtime::Axis::kChild;
   xpath::AstNodeTest test;  // names resolved at code generation
+  /// Υ^rev: a child step enumerated from the last child backwards
+  /// (reverse document order), set only by the reverse-scan rewrite of
+  /// `position() = last() - k` (docs/LIMIT-PUSHDOWN.md).
+  bool reverse = false;
 
   // kSelect / kMap / kSemiJoin / kAntiJoin subscripts:
   ScalarPtr scalar;

@@ -1,5 +1,6 @@
 #include "algebra/rewriter.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -295,6 +296,172 @@ void TryLimitPushdown(OpPtr* slot, SimplifyCtx* ctx) {
   }
 }
 
+bool ReadsAttr(const Operator& op, const std::string& attr,
+               const Scalar* skip);
+
+/// Whether `scalar` (other than `skip`) reads `attr`.
+bool ScalarReadsAttr(const Scalar& scalar, const std::string& attr,
+                     const Scalar* skip) {
+  if (&scalar == skip) return false;
+  if (scalar.kind == ScalarKind::kAttrRef && scalar.name == attr) return true;
+  if (scalar.kind == ScalarKind::kNested &&
+      (scalar.input_attr == attr || ReadsAttr(*scalar.plan, attr, skip))) {
+    return true;
+  }
+  for (const ScalarPtr& child : scalar.children) {
+    if (ScalarReadsAttr(*child, attr, skip)) return true;
+  }
+  return false;
+}
+
+/// Whether any operator or subscript of the plan `op`, other than the
+/// scalar `skip`, reads `attr`.
+bool ReadsAttr(const Operator& op, const std::string& attr,
+               const Scalar* skip) {
+  auto listed = [&attr](const std::vector<std::string>& names) {
+    return std::find(names.begin(), names.end(), attr) != names.end();
+  };
+  if (op.ctx_attr == attr || op.left_attr == attr || op.right_attr == attr ||
+      listed(op.attrs) || listed(op.key_attrs) ||
+      ((op.kind == OpKind::kDupElim || op.kind == OpKind::kSort) &&
+       op.attr == attr) ||
+      (op.scalar != nullptr && ScalarReadsAttr(*op.scalar, attr, skip))) {
+    return true;
+  }
+  for (const OpPtr& child : op.children) {
+    if (ReadsAttr(*child, attr, skip)) return true;
+  }
+  return false;
+}
+
+/// Matches `cp = cs - k` (either side, k = 0 when the subtraction is
+/// absent) and sets *k. False unless k is a non-negative integer.
+bool MatchLastMinusK(const Scalar& pred, const std::string& cp,
+                     const std::string& cs, uint64_t* k) {
+  if (pred.kind != ScalarKind::kCompare ||
+      pred.cmp != runtime::CompareOp::kEq || pred.children.size() != 2) {
+    return false;
+  }
+  auto is_attr = [](const Scalar& s, const std::string& name) {
+    return s.kind == ScalarKind::kAttrRef && s.name == name;
+  };
+  const Scalar* last = pred.children[1].get();
+  if (!is_attr(*pred.children[0], cp)) {
+    if (!is_attr(*pred.children[1], cp)) return false;
+    last = pred.children[0].get();
+  }
+  if (is_attr(*last, cs)) {
+    *k = 0;
+    return true;
+  }
+  if (last->kind != ScalarKind::kArith || last->op != xpath::BinaryOp::kSub ||
+      !is_attr(*last->children[0], cs) ||
+      last->children[1]->kind != ScalarKind::kNumberConst) {
+    return false;
+  }
+  double value = last->children[1]->number;
+  if (!(value >= 0) || value != std::floor(value) || value > 1e15) {
+    return false;
+  }
+  *k = static_cast<uint64_t>(value);
+  return true;
+}
+
+/// `position() = last() - k` by reverse scan: a selection of the
+/// (k+1)-th tuple from the end of a child step needs the group size only
+/// to count from the front. Over one context node the step can count
+/// from the back instead:
+///
+///   Select[cp = cs - k]                 Limit[1]
+///     Tmp^cs[cs; context c]               Select[cp = k+1]
+///       Counter[cp, reset on c]    =>       Counter[cp, reset on c]
+///         Select*  (position-free)            Select*
+///           Υ[x := c/child::name]               Υ^rev[x := c/child::name]
+///
+/// Υ^rev walks back from the context's last child. The Limit closes the
+/// pipeline at the (k+1)-th match from the end, so no tuple is spooled.
+/// Fires only when
+///  * the step is a child step with a name test whose input — its
+///    context — is proved card:<=1: one context, so the counter (and
+///    Tmp^cs, which groups on the same attribute) sees one stream — its
+///    reset attribute is bound below the step or free, hence constant,
+///  * only Selects that read no counter or Tmp^cs attribute sit between
+///    the counter and the step (a positional predicate needs its own
+///    counter, so none can hide there),
+///  * k is a non-negative integer constant,
+///  * nothing but this selection reads cp or cs (cs disappears, cp now
+///    counts from the end).
+/// Returns whether the rule fired.
+bool TryReverseScan(OpPtr* slot, SimplifyCtx* ctx) {
+  Operator* select = slot->get();
+  Operator* tmpcs = select->children[0].get();
+  if (tmpcs->kind != OpKind::kTmpCs) return false;
+  Operator* counter = tmpcs->children[0].get();
+  if (counter->kind != OpKind::kCounter ||
+      counter->ctx_attr != tmpcs->ctx_attr) {
+    return false;
+  }
+  uint64_t k = 0;
+  if (!MatchLastMinusK(*select->scalar, counter->attr, tmpcs->attr, &k)) {
+    return false;
+  }
+  Operator* step = counter->children[0].get();
+  while (step->kind == OpKind::kSelect) {
+    for (const std::string& attr : ScalarFreeAttributes(*step->scalar)) {
+      const Operator* binder = FindBinder(*counter->children[0], attr);
+      if (binder != nullptr && (binder->kind == OpKind::kCounter ||
+                                binder->kind == OpKind::kTmpCs)) {
+        return false;
+      }
+    }
+    step = step->children[0].get();
+  }
+  if (step->kind != OpKind::kUnnestMap || step->reverse ||
+      step->axis != runtime::Axis::kChild ||
+      step->test.kind != xpath::AstNodeTest::Kind::kName) {
+    return false;
+  }
+  PlanProperties context = analysis::InferPlanProperties(*step->children[0]);
+  if (!context.AtMostOne()) return false;
+  // Over one context tuple, every attribute bound below the step (or
+  // free) is constant on the step's output: the counter never resets.
+  if (counter->ctx_attr == step->attr) return false;
+  if (ReadsAttr(**ctx->root, counter->attr, select->scalar.get()) ||
+      ReadsAttr(**ctx->root, tmpcs->attr, select->scalar.get())) {
+    return false;
+  }
+
+  const char* rule = "limit:reverse-scan";
+  PlanProperties before = analysis::InferPlanProperties(*select);
+  // The rule drops the dead cs; the surviving attributes keep their
+  // claims.
+  before.attrs.erase(tmpcs->attr);
+  LogRewrite(ctx, rule, analysis::OperatorSummary(*select),
+             "step context " + analysis::RenderProperties(context, "") +
+                 (counter->ctx_attr.empty()
+                      ? std::string("; counter numbers the whole stream")
+                      : "; reset attribute '" + counter->ctx_attr +
+                            "' constant over the one context") +
+                 "; k = " + std::to_string(k));
+  step->reverse = true;
+  select->children[0] = std::move(tmpcs->children[0]);
+  ScalarPtr position = MakeScalar(ScalarKind::kAttrRef);
+  position->name = counter->attr;
+  ScalarPtr bound = MakeScalar(ScalarKind::kNumberConst);
+  bound->number = static_cast<double>(k + 1);
+  ScalarPtr pred = MakeScalar(ScalarKind::kCompare);
+  pred->cmp = runtime::CompareOp::kEq;
+  pred->children.push_back(std::move(position));
+  pred->children.push_back(std::move(bound));
+  select->scalar = std::move(pred);
+  OpPtr lim = MakeOp(OpKind::kLimit);
+  lim->limit = 1;
+  lim->children.push_back(std::move(*slot));
+  *slot = std::move(lim);
+  CheckAfterRule(ctx, rule, &before, slot->get());
+  return true;
+}
+
 size_t SimplifyNode(OpPtr* slot, SimplifyCtx* ctx) {
   if (!ctx->status.ok()) return 0;
   size_t removed = 0;
@@ -325,7 +492,9 @@ size_t SimplifyNode(OpPtr* slot, SimplifyCtx* ctx) {
                              slot, 0, ctx, "drop-selection-on-empty-input",
                              analysis::RenderProperties(child, ""));
       }
-      if (ctx->limit_pushdown) TryLimitPushdown(slot, ctx);
+      if (!ctx->limit_pushdown) return removed;
+      if (TryReverseScan(slot, ctx)) return removed + 1;
+      TryLimitPushdown(slot, ctx);
       return removed;
     }
 
@@ -526,14 +695,14 @@ size_t SimplifyScalar(Scalar* scalar, SimplifyCtx* ctx) {
 
 }  // namespace
 
-StatusOr<size_t> SimplifyPlan(OpPtr* plan, RewriteLog* log,
+StatusOr<size_t> SimplifyPlan(OpPtr* plan, bool verify, RewriteLog* log,
                               bool limit_pushdown) {
   obs::ScopedSpan span("compile/rewrite");
   SimplifyCtx ctx;
   ctx.root = plan;
   ctx.log = log;
   ctx.limit_pushdown = limit_pushdown;
-  ctx.verify = analysis::VerificationEnabled();
+  ctx.verify = verify;
   if (ctx.verify) {
     // Whatever the plan legitimately read from its context before
     // rewriting stays legitimate afterwards; rewrites must not introduce

@@ -65,21 +65,25 @@ using RewriteLog = std::vector<RewriteEvent>;
 ///    including the numeric-literal form `[3]`) with a Limit operator
 ///    and pushes it below non-blocking 1:1 operators, so the pipeline —
 ///    including the page scan feeding it — closes after the k-th
-///    binding ("limit:*" rules; `limit_pushdown` disables just these,
-///    the ablation/differential-fuzz switch).
+///    binding, and answers `position() = last() - k` over a single
+///    context by a reverse child scan capped with Limit[1] instead of a
+///    Tmp^cs spool ("limit:*" rules; `limit_pushdown` disables just
+///    these, the ablation/differential-fuzz switch).
 /// Returns the number of operators removed or replaced; each rule
 /// application is appended to `log` (when non-null) with the proving
 /// property. Also rewrites nested subplans inside scalar subscripts.
 ///
-/// When plan verification is enabled (analysis::VerificationEnabled — on
-/// by default in debug builds) every rule application is re-checked:
+/// With `verify` (the caller's one reading of
+/// analysis::VerificationEnabled — on by default in debug builds) every
+/// rule application is re-checked:
 /// Layer 1 re-verifies well-formedness of the whole plan, and the
 /// Layer-1.5 property-preservation pass re-infers the rewritten
 /// subtree's properties and fails if the rule weakened them (order,
 /// duplicate-freedom, nesting, cardinality, node class). A violation
 /// aborts rewriting and names the offending rule, instead of letting a
 /// malformed or semantics-changing plan flow on to code generation.
-StatusOr<size_t> SimplifyPlan(OpPtr* plan, RewriteLog* log = nullptr,
+StatusOr<size_t> SimplifyPlan(OpPtr* plan, bool verify,
+                              RewriteLog* log = nullptr,
                               bool limit_pushdown = true);
 
 }  // namespace natix::algebra

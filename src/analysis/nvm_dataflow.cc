@@ -112,6 +112,12 @@ NvmOperandRoles NvmRolesOf(const Instruction& ins) {
       roles.cmp_d = true;
       roles.cmp_flag_d = true;
       break;
+    case OpCode::kStepExists:
+    case OpCode::kStepCount:
+      roles.writes_a = true;
+      roles.attr_b = true;
+      roles.step_c = true;
+      break;
   }
   return roles;
 }
@@ -450,6 +456,7 @@ NvmKind ResultKind(const Program& program, const Instruction& ins,
     case OpCode::kMod:
     case OpCode::kNeg:
     case OpCode::kToNum:
+    case OpCode::kStepCount:
     case OpCode::kStringLength:
     case OpCode::kFloor:
     case OpCode::kCeiling:
@@ -459,6 +466,7 @@ NvmKind ResultKind(const Program& program, const Instruction& ins,
     case OpCode::kToBool:
     case OpCode::kCompare:
     case OpCode::kCmpAttrConst:
+    case OpCode::kStepExists:
     case OpCode::kStartsWith:
     case OpCode::kContains:
     case OpCode::kLang:
@@ -573,8 +581,8 @@ bool NvmInstructionIsPure(const Program& program, size_t pc,
     }
     default:
       // kLoadVar can fail on an unbound variable, kEvalNested runs a
-      // subplan, node navigation reads the store, control flow is not a
-      // store. All stay untouched.
+      // subplan, node navigation and the step loops read the store,
+      // control flow is not a store. All stay untouched.
       return false;
   }
 }
@@ -679,6 +687,21 @@ std::string RenderInstruction(const Program& program, size_t pc,
       bool swapped = (ins.d & nvm::kCmpFlagBit) != 0;
       out += reg(ins.a) + ", " + (swapped ? constant : attr) + " " +
              cmp_name(ins.d) + " " + (swapped ? attr : constant);
+      break;
+    }
+    case OpCode::kStepExists:
+    case OpCode::kStepCount: {
+      out += reg(ins.a) + ", t" + std::to_string(ins.b) + "/";
+      if (ins.c >= program.steps.size()) {
+        out += "step?" + std::to_string(ins.c);
+        break;
+      }
+      const nvm::StepLoop& step = program.steps[ins.c];
+      out += step.text;
+      if (step.compare) {
+        out += std::string(" ") + runtime::CompareOpName(step.cmp) + " " +
+               step.constant.DebugString();
+      }
       break;
     }
     case OpCode::kCmpBranch:

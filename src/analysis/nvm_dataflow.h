@@ -40,6 +40,7 @@ struct NvmOperandRoles {
   bool nested_b = false;   // b indexes the nested-iterator table
   bool jump_b = false;     // b is a jump target
   bool const_c = false;    // c indexes program.constants (kCmpAttrConst)
+  bool step_c = false;     // c indexes program.steps (step loops)
   bool jump_a = false;     // a is a jump target (kCmpBranch)
   bool cmp_d = false;      // d encodes a runtime::CompareOp
   /// d additionally carries the swap/sense flag in bit 8

@@ -74,6 +74,28 @@ Status VerifyProgram(const Program& program, size_t tuple_register_count,
                        "constant index " + std::to_string(ins.c) +
                            " out of range");
     }
+    if (roles.step_c) {
+      if (ins.c >= program.steps.size()) {
+        return Malformed(program, pc,
+                         "step index " + std::to_string(ins.c) +
+                             " out of range");
+      }
+      const nvm::StepLoop& step = program.steps[ins.c];
+      if (step.axis != runtime::Axis::kChild &&
+          step.axis != runtime::Axis::kAttribute) {
+        return Malformed(program, pc,
+                         std::string("step loop on the ") +
+                             runtime::AxisName(step.axis) +
+                             " axis (child or attribute only)");
+      }
+      if (step.compare &&
+          (step.cmp > runtime::CompareOp::kGe ||
+           (step.constant.kind() != runtime::ValueKind::kString &&
+            step.constant.kind() != runtime::ValueKind::kNumber))) {
+        return Malformed(program, pc,
+                         "step loop compares with a non-literal operand");
+      }
+    }
     if (roles.var_b && ins.b >= program.variable_names.size()) {
       return Malformed(program, pc,
                        "variable index " + std::to_string(ins.b) +

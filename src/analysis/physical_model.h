@@ -169,6 +169,8 @@ struct PhysNode {
   /// against the store's name dictionary.
   runtime::Axis axis = runtime::Axis::kChild;
   runtime::NodeTest test;
+  /// UnnestMap^rev: children from the last one backwards.
+  bool reverse = false;
   /// Aggregate, BinaryGroup: the aggregate function.
   algebra::AggKind agg = algebra::AggKind::kExists;
   /// Limit: the tuple cap.

@@ -248,6 +248,12 @@ class LogicalVerifier {
     // Per-operator read obligations.
     switch (op.kind) {
       case OpKind::kUnnestMap:
+        // The cursor walks backwards only along children.
+        if (op.reverse && op.axis != runtime::Axis::kChild) {
+          return Malformed(op, "reverse enumeration of a non-child axis");
+        }
+        NATIX_RETURN_IF_ERROR(RequireBound(op, op.ctx_attr, avail, "context"));
+        break;
       case OpKind::kUnnest:
         NATIX_RETURN_IF_ERROR(RequireBound(op, op.ctx_attr, avail, "context"));
         break;

@@ -402,7 +402,8 @@ PlanProperties Infer(const Operator& op, PropertyMap* map) {
           out.non_nested = true;
           break;
         case Axis::kChild:
-          if (ctx.order == OrderState::kDocOrdered &&
+          // Υ^rev emits each context's children last to first.
+          if (ctx.order == OrderState::kDocOrdered && !op.reverse &&
               ctx.duplicate_free && ctx.non_nested) {
             out.order = OrderState::kDocOrdered;
           }
@@ -647,8 +648,9 @@ std::string OperatorSummary(const Operator& op) {
       out += "[" + op.scalar->ToString() + "]";
       break;
     case OpKind::kUnnestMap:
-      out += "[" + op.attr + " := " + op.ctx_attr + "/" +
-             runtime::AxisName(op.axis) + "::" + op.test.ToString() + "]";
+      out += std::string(op.reverse ? "^rev" : "") + "[" + op.attr +
+             " := " + op.ctx_attr + "/" + runtime::AxisName(op.axis) +
+             "::" + op.test.ToString() + "]";
       break;
     case OpKind::kCounter:
       out += "[" + op.attr +

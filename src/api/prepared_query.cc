@@ -2,6 +2,7 @@
 
 #include "base/xpath_number.h"
 
+#include "analysis/plan_verifier.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "qe/codegen.h"
@@ -25,9 +26,12 @@ StatusOr<std::unique_ptr<qe::PlanTemplate>> RunCompilePipeline(
   NATIX_RETURN_IF_ERROR(xpath::Analyze(ast.get()));
   xpath::FoldConstants(ast.get());
   xpath::Normalize(ast.get());
+  // The one read of the verification switch per Prepare: translation,
+  // every rewrite and codegen follow the same verdict.
+  const bool verify = analysis::VerificationEnabled();
   NATIX_ASSIGN_OR_RETURN(translate::TranslationResult translation,
-                         translate::Translate(*ast, options));
-  return qe::Codegen::Prepare(std::move(translation), store);
+                         translate::Translate(*ast, options, verify));
+  return qe::Codegen::Prepare(std::move(translation), store, verify);
 }
 
 /// Feeds the registry for a failed evaluation: deadline expiry and

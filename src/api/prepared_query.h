@@ -18,7 +18,8 @@ namespace natix {
 
 /// Counters from the most recent evaluation of one execution.
 struct ExecutionStats {
-  /// Tuples produced by location-step (unnest-map) iterators.
+  /// Tuples produced by location-step (unnest-map) iterators, plus the
+  /// nodes NVM step loops find passing their node test.
   uint64_t step_tuples = 0;
   /// Pages faulted into the buffer pool during the evaluation.
   uint64_t page_faults = 0;

@@ -6,17 +6,43 @@ namespace natix::nvm {
 
 namespace {
 
+using algebra::Operator;
+using algebra::OpKind;
 using algebra::Scalar;
 using algebra::ScalarKind;
 using runtime::Value;
 using xpath::BinaryOp;
 using xpath::FunctionId;
 
+/// The comparison with the operands swapped: `lit θ x` is `x θ' lit`.
+runtime::CompareOp Mirror(runtime::CompareOp cmp) {
+  switch (cmp) {
+    case runtime::CompareOp::kLt:
+      return runtime::CompareOp::kGt;
+    case runtime::CompareOp::kLe:
+      return runtime::CompareOp::kGe;
+    case runtime::CompareOp::kGt:
+      return runtime::CompareOp::kLt;
+    case runtime::CompareOp::kGe:
+      return runtime::CompareOp::kLe;
+    default:
+      return cmp;
+  }
+}
+
+bool IsLiteral(const Scalar& s) {
+  return s.kind == ScalarKind::kStringConst ||
+         s.kind == ScalarKind::kNumberConst;
+}
+
 class AssemblerImpl {
  public:
   AssemblerImpl(const AttrResolver& resolve_attr,
+                const NodeTestResolver& resolve_test,
                 const NestedRegistrar& register_nested)
-      : resolve_attr_(resolve_attr), register_nested_(register_nested) {}
+      : resolve_attr_(resolve_attr),
+        resolve_test_(resolve_test),
+        register_nested_(register_nested) {}
 
   StatusOr<Program> Compile(const Scalar& scalar) {
     NATIX_ASSIGN_OR_RETURN(uint16_t result, Emit(scalar));
@@ -130,6 +156,8 @@ class AssemblerImpl {
         return reg;
       }
       case ScalarKind::kNested: {
+        SingleStep shape;
+        if (MatchSingleStep(s, &shape)) return EmitStepLoop(s, shape);
         NATIX_ASSIGN_OR_RETURN(size_t index, register_nested_(s));
         uint16_t reg = NewRegister();
         EmitIns(OpCode::kEvalNested, reg, static_cast<uint16_t>(index));
@@ -139,6 +167,36 @@ class AssemblerImpl {
         return EmitCall(s);
     }
     return Status::Internal("unknown scalar kind");
+  }
+
+  /// One kStepExists / kStepCount over a new entry of the step table.
+  StatusOr<uint16_t> EmitStepLoop(const Scalar& s, const SingleStep& shape) {
+    const Operator& step = *shape.step;
+    NATIX_ASSIGN_OR_RETURN(runtime::RegisterId context,
+                           resolve_attr_(step.ctx_attr));
+    StepLoop loop;
+    loop.axis = step.axis;
+    loop.test = resolve_test_(step.test);
+    loop.text = std::string(runtime::AxisName(step.axis)) +
+                "::" + step.test.ToString();
+    if (shape.compare != nullptr) {
+      const Scalar& lhs = *shape.compare->children[0];
+      const Scalar& literal =
+          IsLiteral(lhs) ? lhs : *shape.compare->children[1];
+      loop.compare = true;
+      loop.cmp = IsLiteral(lhs) ? Mirror(shape.compare->cmp)
+                                : shape.compare->cmp;
+      loop.constant = literal.kind == ScalarKind::kStringConst
+                          ? Value::String(literal.string_value)
+                          : Value::Number(literal.number);
+    }
+    program_.steps.push_back(std::move(loop));
+    uint16_t reg = NewRegister();
+    EmitIns(s.agg == algebra::AggKind::kExists ? OpCode::kStepExists
+                                                : OpCode::kStepCount,
+            reg, static_cast<uint16_t>(context),
+            static_cast<uint16_t>(program_.steps.size() - 1));
+    return reg;
   }
 
   StatusOr<uint16_t> EmitCall(const Scalar& s) {
@@ -228,6 +286,7 @@ class AssemblerImpl {
   }
 
   const AttrResolver& resolve_attr_;
+  const NodeTestResolver& resolve_test_;
   const NestedRegistrar& register_nested_;
   Program program_;
   uint16_t next_register_ = 0;
@@ -235,10 +294,54 @@ class AssemblerImpl {
 
 }  // namespace
 
+bool MatchSingleStep(const Scalar& nested, SingleStep* out) {
+  if (nested.kind != ScalarKind::kNested || nested.plan == nullptr ||
+      (nested.agg != algebra::AggKind::kExists &&
+       nested.agg != algebra::AggKind::kCount)) {
+    return false;
+  }
+  const Operator* op = nested.plan.get();
+  const Scalar* compare = nullptr;
+  if (op->kind == OpKind::kSelect) {
+    const Scalar& pred = *op->scalar;
+    if (pred.kind != ScalarKind::kCompare || pred.children.size() != 2) {
+      return false;
+    }
+    const Scalar& lhs = *pred.children[0];
+    const Scalar& rhs = *pred.children[1];
+    const Scalar& attr = IsLiteral(lhs) ? rhs : lhs;
+    const Scalar& literal = IsLiteral(lhs) ? lhs : rhs;
+    if (attr.kind != ScalarKind::kAttrRef || !IsLiteral(literal) ||
+        attr.name != nested.input_attr) {
+      return false;
+    }
+    compare = &pred;
+    op = op->children[0].get();
+  }
+  // DJoin(□, e) is e: the translation's dependent form of a relative
+  // path in a predicate.
+  if (op->kind == OpKind::kDJoin &&
+      op->children[0]->kind == OpKind::kSingletonScan) {
+    op = op->children[1].get();
+  }
+  if (op->kind != OpKind::kUnnestMap || op->reverse ||
+      op->children[0]->kind != OpKind::kSingletonScan ||
+      (op->axis != runtime::Axis::kChild &&
+       op->axis != runtime::Axis::kAttribute) ||
+      op->test.kind != xpath::AstNodeTest::Kind::kName ||
+      op->attr != nested.input_attr) {
+    return false;
+  }
+  out->step = op;
+  out->compare = compare;
+  return true;
+}
+
 StatusOr<Program> CompileScalar(const Scalar& scalar,
                                 const AttrResolver& resolve_attr,
+                                const NodeTestResolver& resolve_test,
                                 const NestedRegistrar& register_nested) {
-  AssemblerImpl impl(resolve_attr, register_nested);
+  AssemblerImpl impl(resolve_attr, resolve_test, register_nested);
   return impl.Compile(scalar);
 }
 

@@ -82,6 +82,10 @@ const char* OpCodeName(OpCode op) {
       return "cmp_attr_const";
     case OpCode::kCmpBranch:
       return "cmp_branch";
+    case OpCode::kStepExists:
+      return "step_exists";
+    case OpCode::kStepCount:
+      return "step_count";
   }
   return "?";
 }
@@ -124,6 +128,11 @@ std::string Program::Disassemble() const {
         out += ", r" + std::to_string(ins.b) + ", r" + std::to_string(ins.c) +
                ", op#" + std::to_string(ins.d) + " -> " +
                std::to_string(ins.a);
+        break;
+      case OpCode::kStepExists:
+      case OpCode::kStepCount:
+        out += ", attr#" + std::to_string(ins.b) + ", step#" +
+               std::to_string(ins.c);
         break;
       case OpCode::kHalt:
         break;

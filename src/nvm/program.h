@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "runtime/conversions.h"
+#include "runtime/node_ops.h"
 #include "runtime/value.h"
 
 namespace natix::nvm {
@@ -67,7 +69,12 @@ enum class OpCode : uint8_t {
   // Superinstruction fusing compare + conditional jump. d bits 0-7
   // encode the CompareOp; d bit 8 is the branch sense (1: jump when the
   // comparison holds). The jump target lives in `a`.
-  kCmpBranch       // if (r[b] <cmp d&0xFF> r[c]) == sense(d bit 8) pc = a
+  kCmpBranch,      // if (r[b] <cmp d&0xFF> r[c]) == sense(d bit 8) pc = a
+  // Single-step predicates navigated in place (Sec. 5.2.2) instead of a
+  // nested plan: loop over the nodes of step steps[c] from the context
+  // node tuple[b] (a non-node context has none).
+  kStepExists,     // r[a] = some node of steps[c] passes (stops there)
+  kStepCount       // r[a] = number of nodes of steps[c] that pass
 };
 
 /// Flag bit 8 of the d operand of kCmpAttrConst (operand swap) and
@@ -84,12 +91,30 @@ struct Instruction {
   uint16_t d = 0;  // third operand / comparison op / jump slack
 };
 
+/// One single-step loop of kStepExists / kStepCount: the nodes of `axis`
+/// (child or attribute) whose header passes `test` and, with `compare`,
+/// that satisfy `node <cmp> constant` (a string or number; the node side
+/// converts like any kNode operand of runtime::CompareAtomic). Node-test
+/// names are resolved against the store's dictionary; 16-bit operands
+/// cannot hold them, so the instruction indexes this table.
+struct StepLoop {
+  runtime::Axis axis = runtime::Axis::kChild;
+  runtime::NodeTest test;
+  bool compare = false;
+  runtime::CompareOp cmp = runtime::CompareOp::kEq;
+  runtime::Value constant;
+  /// "child::year": the step as written, for listings.
+  std::string text;
+};
+
 /// A compiled NVM program.
 struct Program {
   std::vector<Instruction> code;
   std::vector<runtime::Value> constants;
   /// Execution-context variable names referenced by kLoadVar.
   std::vector<std::string> variable_names;
+  /// Single-step loops referenced by kStepExists / kStepCount.
+  std::vector<StepLoop> steps;
   /// Number of NVM registers the program uses.
   uint16_t register_count = 0;
 

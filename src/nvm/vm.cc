@@ -75,6 +75,46 @@ StatusOr<bool> LangMatches(const std::string& wanted, NodeRef context,
   return false;
 }
 
+/// Runs step loop `step` from `context`: counts the nodes passing the
+/// node test into *tested and returns how many also pass the comparison,
+/// stopping at the first one when `exists`.
+StatusOr<uint64_t> RunStepLoop(const StepLoop& step, const Value& context,
+                               bool exists, const EvalContext& ctx,
+                               std::string* text, uint64_t* tested) {
+  if (context.kind() != runtime::ValueKind::kNode) return 0;
+  runtime::AxisCursor cursor(ctx.nodes);
+  NATIX_RETURN_IF_ERROR(
+      cursor.Open(step.axis, step.test, context.AsNode().node_id()));
+  // = and != against a string compare string-values directly; every
+  // other form takes CompareAtomic's promotion rules.
+  const bool string_eq =
+      step.compare && step.constant.kind() == runtime::ValueKind::kString &&
+      (step.cmp == runtime::CompareOp::kEq ||
+       step.cmp == runtime::CompareOp::kNe);
+  uint64_t matches = 0;
+  while (true) {
+    bool has = false;
+    NodeRef node;
+    NATIX_RETURN_IF_ERROR(cursor.Next(&has, &node));
+    if (!has) break;
+    ++*tested;
+    bool pass = true;
+    if (string_eq) {
+      NATIX_RETURN_IF_ERROR(ctx.nodes->StringValue(node.node_id(), text));
+      pass = (*text == step.constant.AsString()) ==
+             (step.cmp == runtime::CompareOp::kEq);
+    } else if (step.compare) {
+      NATIX_ASSIGN_OR_RETURN(pass,
+                             runtime::CompareAtomic(step.cmp, Value::Node(node),
+                                                    step.constant, ctx));
+    }
+    if (!pass) continue;
+    ++matches;
+    if (exists) break;
+  }
+  return matches;
+}
+
 StatusOr<NodeRef> RootOf(NodeRef node, const EvalContext& ctx) {
   storage::NodeId current = node.node_id();
   storage::NodeHeader record;
@@ -92,8 +132,10 @@ StatusOr<NodeRef> RootOf(NodeRef node, const EvalContext& ctx) {
 StatusOr<Value> Vm::Run(
     const runtime::RegisterFile& tuple, const EvalContext& ctx,
     const std::unordered_map<std::string, Value>& variables,
-    const NestedEvaluator& nested, uint64_t* retired) {
+    const NestedEvaluator& nested, uint64_t* retired,
+    uint64_t* step_tuples) {
   auto& r = frame_;
+  uint64_t tested = 0;
   const std::vector<Instruction>& code = program_->code;
 
   auto num = [&](uint16_t reg) -> StatusOr<double> {
@@ -348,8 +390,20 @@ StatusOr<Value> Vm::Run(
         }
         break;
       }
+      case OpCode::kStepExists:
+      case OpCode::kStepCount: {
+        const bool exists = ins.op == OpCode::kStepExists;
+        NATIX_ASSIGN_OR_RETURN(
+            uint64_t matches,
+            RunStepLoop(program_->steps[ins.c], tuple[ins.b], exists, ctx,
+                        &text_, &tested));
+        r[ins.a] = exists ? Value::Boolean(matches != 0)
+                          : Value::Number(static_cast<double>(matches));
+        break;
+      }
       case OpCode::kHalt:
         if (retired != nullptr) *retired += executed;
+        if (step_tuples != nullptr) *step_tuples += tested;
         return r[ins.a];
     }
     ++pc;

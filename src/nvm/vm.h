@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -33,18 +34,23 @@ class Vm {
   /// `retired` is non-null, the number of instructions executed by a
   /// successful run is added to it (the nvm_insns_retired metric;
   /// failing runs abort the query, so their partial counts are not
-  /// accounted).
+  /// accounted). When `step_tuples` is non-null, every node a step loop
+  /// (kStepExists / kStepCount) finds passing its node test is added to
+  /// it, as the nested plan's unnest-map would have counted it.
   StatusOr<runtime::Value> Run(const runtime::RegisterFile& tuple,
                                const runtime::EvalContext& ctx,
                                const std::unordered_map<std::string,
                                                         runtime::Value>&
                                    variables,
                                const NestedEvaluator& nested,
-                               uint64_t* retired = nullptr);
+                               uint64_t* retired = nullptr,
+                               uint64_t* step_tuples = nullptr);
 
  private:
   const Program* program_;
   std::vector<runtime::Value> frame_;
+  /// String-value buffer the step loops reuse across nodes and runs.
+  std::string text_;
 };
 
 }  // namespace natix::nvm

@@ -99,6 +99,19 @@ class PhysicalPrinter {
   }
 
   void PrintScalar(const algebra::Scalar& scalar, int depth) {
+    nvm::SingleStep step;
+    if (nvm::MatchSingleStep(scalar, &step)) {
+      // Compiled into the subscript as one NVM step loop, no plan.
+      out_.append(static_cast<size_t>(depth) * 2, ' ');
+      out_ += "step loop " + std::string(algebra::AggKindName(scalar.agg)) +
+              "(" + Reg(step.step->ctx_attr) + "/" +
+              runtime::AxisName(step.step->axis) +
+              "::" + step.step->test.ToString() +
+              (step.compare != nullptr ? ", " + step.compare->ToString()
+                                       : "") +
+              ")\n";
+      return;
+    }
     if (scalar.kind == algebra::ScalarKind::kNested) {
       out_.append(static_cast<size_t>(depth) * 2, ' ');
       out_ += "nested " + std::string(algebra::AggKindName(scalar.agg)) +
@@ -126,7 +139,8 @@ class PhysicalPrinter {
         out_ += "[" + op.scalar->ToString() + "]";
         break;
       case OpKind::kUnnestMap:
-        out_ += "[" + Reg(op.attr) + " := " + Reg(op.ctx_attr) + "/" +
+        out_ += std::string(op.reverse ? "^rev" : "") + "[" + Reg(op.attr) +
+                " := " + Reg(op.ctx_attr) + "/" +
                 runtime::AxisName(op.axis) + "::" + op.test.ToString() +
                 "]";
         break;
@@ -310,8 +324,13 @@ class CodegenImpl {
       host->nested.push_back(std::move(site));
       return host->nested.back().slot;
     };
-    NATIX_ASSIGN_OR_RETURN(nvm::Program program,
-                           nvm::CompileScalar(scalar, resolver, registrar));
+    nvm::NodeTestResolver resolve_test =
+        [this](const xpath::AstNodeTest& test) {
+          return ResolveNodeTest(test);
+        };
+    NATIX_ASSIGN_OR_RETURN(
+        nvm::Program program,
+        nvm::CompileScalar(scalar, resolver, resolve_test, registrar));
     tmpl_.nvm_listing_before_ += "== " + host->label + " ==\n" +
                                  analysis::RenderNvmProgram(program);
     tmpl_.nvm_insns_before_ += program.code.size();
@@ -332,13 +351,10 @@ class CodegenImpl {
                                 analysis::RenderNvmProgram(program);
     tmpl_.nvm_insns_after_ += program.code.size();
     // The program's tuple-register operands are exactly the plan
-    // registers the subscript reads per tuple (the fused kCmpAttrConst
-    // reads its tuple register directly).
+    // registers the subscript reads per tuple (kLoadAttr, and the fused
+    // kCmpAttrConst and the step loops read theirs directly).
     for (const nvm::Instruction& ins : program.code) {
-      if (ins.op == nvm::OpCode::kLoadAttr ||
-          ins.op == nvm::OpCode::kCmpAttrConst) {
-        host->reads.push_back(ins.b);
-      }
+      if (analysis::NvmRolesOf(ins).attr_b) host->reads.push_back(ins.b);
     }
     host->program = model_.programs.size();
     model_.programs.emplace_back(host->label, std::move(program));
@@ -572,9 +588,12 @@ class CodegenImpl {
             /*cursor_released_on_close=*/true);
     node->axis = op.axis;
     node->test = ResolveNodeTest(op.test);
+    node->reverse = op.reverse;
     node->reads.push_back(ctx);
     node->writes.push_back(out);
-    node->stats_label = "UnnestMap[" + op.attr + " := " + op.ctx_attr + "/" +
+    node->stats_label = std::string("UnnestMap") +
+                        (op.reverse ? "^rev" : "") + "[" + op.attr +
+                        " := " + op.ctx_attr + "/" +
                         runtime::AxisName(op.axis) +
                         "::" + op.test.ToString() + "]" + PropTag(op);
     child.written.insert(out);
@@ -770,13 +789,13 @@ class CodegenImpl {
 
 StatusOr<std::unique_ptr<PlanTemplate>> Codegen::Prepare(
     translate::TranslationResult translation,
-    const storage::NodeStore* store) {
+    const storage::NodeStore* store, bool verify) {
   obs::ScopedSpan span("compile/codegen");
   std::unique_ptr<PlanTemplate> tmpl(new PlanTemplate());
   tmpl->store_ = store;
-  // The one read of the switch: the plan's verification, its oracle
-  // wrappers and every execution's resource ledger follow it.
-  tmpl->verified_ = analysis::VerificationEnabled();
+  // The plan's verification, its oracle wrappers and every execution's
+  // resource ledger follow the verdict.
+  tmpl->verified_ = verify;
 
   // Static property inference over the logical plan (ordering,
   // duplicate-freedom, cardinality, node classes). The annotations drive

@@ -27,10 +27,12 @@ class Codegen {
  public:
   /// Prepares `translation` into an immutable plan template bound to
   /// `store`. The template takes ownership of the translation (the
-  /// inferred property map points into its operator tree).
+  /// inferred property map points into its operator tree). With `verify`
+  /// the lowered plan is verified, and the template records it: oracle
+  /// wrappers and every execution's resource ledger follow it.
   static StatusOr<std::unique_ptr<PlanTemplate>> Prepare(
       translate::TranslationResult translation,
-      const storage::NodeStore* store);
+      const storage::NodeStore* store, bool verify);
 };
 
 }  // namespace natix::qe

@@ -154,7 +154,8 @@ class ExecutionContext {
   std::unordered_map<uint64_t,
                      std::unordered_map<std::string, runtime::NodeRef>>
       id_indexes;
-  /// Statistics for tests/benchmarks.
+  /// Step tuples, for tests/benchmarks: the tuples unnest-map iterators
+  /// produce plus the nodes NVM step loops find passing their node test.
   uint64_t tuples_produced = 0;
   /// NVM instructions retired by subscript programs (successful runs
   /// only); accumulates across executions like tuples_produced.

@@ -143,7 +143,8 @@ class UnnestMapIterator : public Iterator {
  public:
   UnnestMapIterator(ExecutionContext* state, IteratorPtr child,
                     runtime::RegisterId ctx, runtime::RegisterId out,
-                    runtime::Axis axis, runtime::NodeTest test);
+                    runtime::Axis axis, runtime::NodeTest test,
+                    bool reverse);
   Status OpenImpl() override;
   Status NextImpl(bool* has) override;
   /// Deactivates the axis cursor before closing the child, so the
@@ -162,6 +163,7 @@ class UnnestMapIterator : public Iterator {
   runtime::RegisterId out_;
   runtime::Axis axis_;
   runtime::NodeTest test_;
+  bool reverse_;
   runtime::AxisCursor cursor_;
   bool cursor_active_ = false;
 };

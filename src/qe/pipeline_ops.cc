@@ -87,13 +87,14 @@ UnnestMapIterator::UnnestMapIterator(ExecutionContext* state,
                                      runtime::RegisterId ctx,
                                      runtime::RegisterId out,
                                      runtime::Axis axis,
-                                     runtime::NodeTest test)
+                                     runtime::NodeTest test, bool reverse)
     : state_(state),
       child_(std::move(child)),
       ctx_(ctx),
       out_(out),
       axis_(axis),
       test_(test),
+      reverse_(reverse),
       cursor_(state->eval_ctx.nodes) {}
 
 void UnnestMapIterator::ReleaseCursor() {
@@ -126,7 +127,7 @@ Status UnnestMapIterator::NextImpl(bool* has) {
         continue;
       }
       NATIX_RETURN_IF_ERROR(
-          cursor_.Open(axis_, test_, ctx.AsNode().node_id()));
+          cursor_.Open(axis_, test_, ctx.AsNode().node_id(), reverse_));
       cursor_active_ = true;
       state_->LedgerCursorActivated();
     }

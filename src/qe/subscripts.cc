@@ -141,7 +141,8 @@ StatusOr<Value> RunNestedAggregate(NestedPlan* nested, ExecutionContext* state) 
 
 StatusOr<Value> Subscript::Evaluate() {
   return vm_.Run(state_->registers, state_->eval_ctx, state_->variables,
-                 nested_eval_, &state_->nvm_insns_retired);
+                 nested_eval_, &state_->nvm_insns_retired,
+                 &state_->tuples_produced);
 }
 
 StatusOr<bool> Subscript::EvaluateBool() {

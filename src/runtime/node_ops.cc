@@ -126,8 +126,10 @@ bool MatchesNodeTest(const NodeHeader& record, const NodeTest& test,
   return false;
 }
 
-Status AxisCursor::Open(Axis axis, const NodeTest& test, NodeId context) {
+Status AxisCursor::Open(Axis axis, const NodeTest& test, NodeId context,
+                        bool reverse) {
   axis_ = axis;
+  reverse_ = reverse && axis == Axis::kChild;
   test_ = test;
   context_ = context;
   principal_is_attribute_ = axis == Axis::kAttribute;
@@ -165,7 +167,9 @@ Status AxisCursor::Step() {
         record_ = ctx_record;
         return Status::OK();
       case Axis::kChild:
-        current_ = ctx_is_attribute ? kInvalidNodeId : ctx_record.first_child;
+        current_ = ctx_is_attribute ? kInvalidNodeId
+                   : reverse_       ? ctx_record.last_child
+                                    : ctx_record.first_child;
         break;
       case Axis::kAttribute:
         current_ = ctx_record.first_attr;
@@ -249,6 +253,8 @@ Status AxisCursor::Step() {
       done_ = true;
       return Status::OK();
     case Axis::kChild:
+      current_ = reverse_ ? record_.prev_sibling : record_.next_sibling;
+      break;
     case Axis::kAttribute:
     case Axis::kFollowingSibling:
       current_ = record_.next_sibling;

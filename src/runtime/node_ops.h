@@ -77,8 +77,12 @@ class AxisCursor {
  public:
   explicit AxisCursor(storage::NodeAccessor* nodes) : nodes_(nodes) {}
 
-  /// (Re)positions the cursor at `context` for `axis`/`test`.
-  Status Open(Axis axis, const NodeTest& test, storage::NodeId context);
+  /// (Re)positions the cursor at `context` for `axis`/`test`. With
+  /// `reverse` (child axis only) the children are produced from the last
+  /// one backwards, following the stored last-child and previous-sibling
+  /// links.
+  Status Open(Axis axis, const NodeTest& test, storage::NodeId context,
+              bool reverse = false);
 
   /// Produces the next matching node. Sets *has to false at the end.
   Status Next(bool* has, NodeRef* out);
@@ -93,6 +97,7 @@ class AxisCursor {
 
   storage::NodeAccessor* nodes_;
   Axis axis_ = Axis::kSelf;
+  bool reverse_ = false;
   NodeTest test_;
   bool principal_is_attribute_ = false;
 

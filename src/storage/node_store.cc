@@ -504,14 +504,19 @@ StatusOr<std::string> NodeAccessor::ReadContent(NodeId node) {
 }
 
 StatusOr<std::string> NodeAccessor::StringValue(NodeId node) {
+  std::string out;
+  NATIX_RETURN_IF_ERROR(StringValue(node, &out));
+  return out;
+}
+
+Status NodeAccessor::StringValue(NodeId node, std::string* out) {
+  out->clear();
   NodeHeader header;
   Content content;
   NATIX_RETURN_IF_ERROR(Decode(node, &header, &content));
-  std::string out;
   if (header.kind != StoredNodeKind::kElement &&
       header.kind != StoredNodeKind::kDocument) {
-    NATIX_RETURN_IF_ERROR(AppendContent(content, &out));
-    return out;
+    return AppendContent(content, out);
   }
   // Concatenate descendant text nodes via an explicit traversal.
   NodeId current = header.first_child;
@@ -524,7 +529,7 @@ StatusOr<std::string> NodeAccessor::StringValue(NodeId node) {
     }
     NATIX_RETURN_IF_ERROR(Decode(current, &header, &content));
     if (header.kind == StoredNodeKind::kText) {
-      NATIX_RETURN_IF_ERROR(AppendContent(content, &out));
+      NATIX_RETURN_IF_ERROR(AppendContent(content, out));
     }
     if (header.kind == StoredNodeKind::kElement &&
         header.first_child.valid()) {
@@ -534,7 +539,7 @@ StatusOr<std::string> NodeAccessor::StringValue(NodeId node) {
       current = header.next_sibling;
     }
   }
-  return out;
+  return Status::OK();
 }
 
 void NodeAccessor::ReleaseAll() {

@@ -236,6 +236,9 @@ class NodeAccessor {
   /// XPath string-value: for elements/documents, the concatenation of all
   /// descendant text nodes; for other kinds the content itself.
   StatusOr<std::string> StringValue(NodeId node);
+  /// The same into *out (replacing its contents), so a caller comparing
+  /// many string-values can reuse one buffer.
+  Status StringValue(NodeId node, std::string* out);
 
   /// Unpins every page of the set.
   void ReleaseAll();

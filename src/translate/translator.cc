@@ -736,21 +736,22 @@ class TranslatorImpl {
 }  // namespace
 
 StatusOr<TranslationResult> Translate(const xpath::Expr& root,
-                                      const TranslatorOptions& options) {
+                                      const TranslatorOptions& options,
+                                      bool verify) {
   obs::ScopedSpan span("compile/translate");
   TranslatorImpl impl(options);
   NATIX_ASSIGN_OR_RETURN(TranslationResult result, impl.Run(root));
   result.optimize_nvm = options.optimize_nvm;
   // Layer-1 verification directly after translation, so a translator bug
   // is reported before rewrites can obscure it.
-  if (analysis::VerificationEnabled()) {
+  if (verify) {
     NATIX_RETURN_IF_ERROR(analysis::VerifyTranslation(result));
   }
   if (options.simplify_plan) {
     // The simplifier re-verifies after every rule application (when
     // verification is enabled) and names the offending rule.
     NATIX_RETURN_IF_ERROR(
-        algebra::SimplifyPlan(&result.plan, &result.rewrites,
+        algebra::SimplifyPlan(&result.plan, verify, &result.rewrites,
                               options.limit_pushdown)
             .status());
   }
@@ -779,7 +780,7 @@ StatusOr<TranslationResult> Translate(const xpath::Expr& root,
         out.order == analysis::OrderState::kDocOrdered
             ? std::string("result stream provably doc-ordered")
             : std::string("in-plan sort inserted below the cap")});
-    if (analysis::VerificationEnabled()) {
+    if (verify) {
       NATIX_RETURN_IF_ERROR(analysis::VerifyTranslation(result));
     }
   }

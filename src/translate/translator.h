@@ -81,9 +81,12 @@ inline constexpr char kContextSizeAttr[] = "cs0";
 
 /// Translates an analyzed, normalized XPath AST into the logical algebra
 /// (step 5 of the compiler pipeline). The AST must have passed Analyze()
-/// and Normalize().
+/// and Normalize(). With `verify` (the caller's one reading of
+/// analysis::VerificationEnabled), the plan is verified (Layer 1) after
+/// translation and after every rewrite.
 StatusOr<TranslationResult> Translate(const xpath::Expr& root,
-                                      const TranslatorOptions& options);
+                                      const TranslatorOptions& options,
+                                      bool verify);
 
 }  // namespace natix::translate
 

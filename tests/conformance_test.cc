@@ -150,6 +150,33 @@ std::string RenderInterp(const interp::Object& v) {
   return "?";
 }
 
+/// Runs `query` through the algebraic engine and renders the result the
+/// way RenderInterp renders the interpreter's.
+StatusOr<std::string> RenderAlgebraic(
+    Database* db, storage::NodeId root, const std::string& query,
+    const translate::TranslatorOptions& options) {
+  NATIX_ASSIGN_OR_RETURN(auto compiled, db->Compile(query, options));
+  if (compiled->prepared().result_type() == xpath::ExprType::kNodeSet) {
+    NATIX_ASSIGN_OR_RETURN(std::vector<storage::StoredNode> nodes,
+                           compiled->EvaluateNodes(root));
+    std::string out = "nodes:";
+    for (const storage::StoredNode& n : nodes) {
+      NATIX_ASSIGN_OR_RETURN(uint64_t order, n.order());
+      out += " " + std::to_string(order);
+    }
+    return out;
+  }
+  NATIX_ASSIGN_OR_RETURN(runtime::Value value, compiled->EvaluateValue(root));
+  switch (value.kind()) {
+    case runtime::ValueKind::kBoolean:
+      return std::string(value.AsBoolean() ? "bool: true" : "bool: false");
+    case runtime::ValueKind::kNumber:
+      return "num: " + XPathNumberToString(value.AsNumber());
+    default:
+      return "str: " + value.AsString();
+  }
+}
+
 class ConformanceTest : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(ConformanceTest, FourEvaluatorsAgree) {
@@ -196,34 +223,10 @@ TEST_P(ConformanceTest, FourEvaluatorsAgree) {
     for (bool improved : {false, true}) {
       auto options = improved ? translate::TranslatorOptions::Improved()
                               : translate::TranslatorOptions::Canonical();
-      auto compiled = (*db)->Compile(query, options);
-      ASSERT_TRUE(compiled.ok())
-          << query << ": " << compiled.status().ToString();
-      std::string actual;
-      if ((*compiled)->prepared().result_type() == xpath::ExprType::kNodeSet) {
-        auto nodes = (*compiled)->EvaluateNodes(info->root);
-        ASSERT_TRUE(nodes.ok())
-            << query << ": " << nodes.status().ToString();
-        actual = "nodes:";
-        for (const storage::StoredNode& n : *nodes) {
-          actual += " " + std::to_string(*n.order());
-        }
-      } else {
-        auto value = (*compiled)->EvaluateValue(info->root);
-        ASSERT_TRUE(value.ok())
-            << query << ": " << value.status().ToString();
-        switch (value->kind()) {
-          case runtime::ValueKind::kBoolean:
-            actual = value->AsBoolean() ? "bool: true" : "bool: false";
-            break;
-          case runtime::ValueKind::kNumber:
-            actual = "num: " + XPathNumberToString(value->AsNumber());
-            break;
-          default:
-            actual = "str: " + value->AsString();
-        }
-      }
-      EXPECT_EQ(actual, expected_str)
+      auto actual = RenderAlgebraic(db->get(), info->root, query, options);
+      ASSERT_TRUE(actual.ok())
+          << query << ": " << actual.status().ToString();
+      EXPECT_EQ(*actual, expected_str)
           << (improved ? "improved" : "canonical")
           << " translation diverges on " << query << "\ndocument: " << xml;
     }
@@ -232,6 +235,99 @@ TEST_P(ConformanceTest, FourEvaluatorsAgree) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ConformanceTest,
                          ::testing::Range(1u, 21u));
+
+// Single-step value predicates compile to NVM step loops (kStepExists /
+// kStepCount) instead of nested plans. Their comparison semantics must
+// stay XPath's node-set semantics in every corner: childless contexts,
+// string-values spanning nested elements, text long enough to overflow
+// its record, attribute steps, string and number literals on either
+// side, and a boolean operand.
+TEST(StepLoopConformanceTest, ValuePredicatesMatchTheInterpreter) {
+  const std::string long_text(5000, 'w');
+  const std::string xml =
+      "<r>"
+      "<p id='1' k='x'><n>1991</n><n>2000</n><s>ab</s></p>"
+      "<p id='2'/>"
+      "<p id='3'><n><i>19</i>91</n><s>a<i>b</i></s><s/></p>"
+      "<p id='4' k='y'><n>abc</n><n> 7 </n><n>7</n><m/></p>"
+      "<p id='5' k='" + long_text + "'><s>" + long_text + "</s><n>3</n></p>"
+      "<q k='x'>text<n>1991</n></q>"
+      "</r>";
+  const std::string long_literal = "'" + long_text + "'";
+  const std::vector<std::string> queries = {
+      "/r/p[n = '1991']",
+      "/r/p[n = 1991]",
+      "/r/p['1991' = n]",
+      "/r/p[1991 = n]",
+      "/r/p[n != '1991']",
+      "/r/p[n != 1991]",
+      "/r/p[n < 1991]",
+      "/r/p[n >= 7]",
+      "/r/p[1991 > n]",
+      "/r/p['7' <= n]",
+      "/r/p[s = 'ab']",
+      "/r/p[s = '']",
+      "/r/p[s != 'ab']",
+      "/r/p[s = " + long_literal + "]",
+      "/r/p[@k = " + long_literal + "]",
+      "/r/p[count(n) = 0]",
+      "/r/p[count(n) > 2]",
+      "/r/p[count(n) = 2]",
+      "/r/p[count(zzz) = 0]",
+      "/r/p[n = true()]",
+      "/r/p[n = false()]",
+      "/r/p[n]",
+      "/r/p[not(n)]",
+      "/r/p[zzz = 'x']",
+      "/r/p[n = 'abc' or s]",
+      "/r/p[@k = 'x']",
+      "/r/p[@k != 'x']",
+      "/r/p[@k]",
+      "/r/p[@id > 2]",
+      "/r/p[@id = 3]",
+      "/r/*[@k = 'x']",
+      "/r/*[n = '1991']/@id",
+      "count(/r/p[n >= 7])",
+      "count(/r/*[count(n) > 1])",
+      "boolean(/r/p[m])",
+  };
+
+  auto db = Database::CreateTemp();
+  ASSERT_TRUE(db.ok());
+  auto info = (*db)->LoadDocument("doc", xml);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  auto dom_doc = dom::ParseDocument(xml);
+  ASSERT_TRUE(dom_doc.ok());
+
+  for (const std::string& query : queries) {
+    interp::EvaluatorOptions memo;
+    auto expected = interp::Evaluator::Run(dom_doc->get(), query,
+                                           (*dom_doc)->root(), memo);
+    ASSERT_TRUE(expected.ok())
+        << query << ": " << expected.status().ToString();
+    for (bool improved : {false, true}) {
+      auto options = improved ? translate::TranslatorOptions::Improved()
+                              : translate::TranslatorOptions::Canonical();
+      auto actual = RenderAlgebraic(db->get(), info->root, query, options);
+      ASSERT_TRUE(actual.ok())
+          << query << ": " << actual.status().ToString();
+      EXPECT_EQ(*actual, RenderInterp(*expected))
+          << (improved ? "improved" : "canonical")
+          << " translation diverges on " << query;
+    }
+  }
+
+  // The shapes above do take the step loops.
+  for (const char* query : {"/r/p[n = '1991']", "/r/p[@k != 'x']",
+                            "/r/p[count(n) > 2]", "/r/p[n = true()]"}) {
+    auto compiled = (*db)->Compile(query);
+    ASSERT_TRUE(compiled.ok()) << query;
+    const std::string& listing =
+        (*compiled)->prepared().plan().nvm_listing_after();
+    EXPECT_NE(listing.find("step_"), std::string::npos) << query;
+    EXPECT_EQ(listing.find("eval_nested"), std::string::npos) << query;
+  }
+}
 
 }  // namespace
 }  // namespace natix

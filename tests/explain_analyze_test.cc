@@ -132,10 +132,11 @@ buffer: page_reads=_ page_hits=_ page_writes=_ evictions=_
 )");
 }
 
-// Fig. 10 representative (DBLP positional query): pins the Counter /
-// Tmp^cs_c materialization pipeline and its spool/replay counter names.
-// The spool counters only render when nonzero, so this golden needs the
-// instrumentation compiled in.
+// Fig. 10 representative (DBLP positional query): pins the reverse-scan
+// pipeline — Limit over the counter over the backward child step, no
+// Tmp^cs spool — and the Limit's early-exit counter name. The counter
+// only renders when nonzero, so this golden needs the instrumentation
+// compiled in.
 TEST(ExplainAnalyzeGoldenTest, Fig10DblpPositional) {
 #if defined(NATIX_OBS_DISABLED)
   GTEST_SKIP() << "observability compiled out (NATIX_OBS=OFF)";
@@ -143,10 +144,10 @@ TEST(ExplainAnalyzeGoldenTest, Fig10DblpPositional) {
   EXPECT_EQ(
       AnalyzeQuery(kDblp, "/dblp/article[position() = last()]/title"),
       R"(UnnestMap[c6 := c3/child::title] {card:n, ord:doc(c6), dup-free(c6), non-nested(c6), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-  Select[(cp4 = cs5)] (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-    TmpCs[cs5; context c2] {card:n, ord:grouped(cs5), non-nested(cs5), class:value} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_ spooled=_ replayed=_ groups=_)
+  Limit[1] {card:<=_} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_ early_exits=_)
+    Select[(cp4 = 1)] (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
       Counter[cp4, reset on c2] (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-        UnnestMap[c3 := c2/child::article] {card:n, ord:doc(c3), dup-free(c3), non-nested(c3), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+        UnnestMap^rev[c3 := c2/child::article] {card:n, dup-free(c3), non-nested(c3), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
           UnnestMap[c2 := c1/child::dblp] {card:<=_, ord:doc(c2), dup-free(c2), non-nested(c2), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
             Map[c1 := root*(cn)] {card:1, ord:doc(c1), dup-free(c1), non-nested(c1), class:root} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
               SingletonScan (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)

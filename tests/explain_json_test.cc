@@ -126,15 +126,16 @@ TEST(ExplainPropertiesGoldenTest, Fig10DblpPositional) {
   EXPECT_EQ(
       q->ExplainProperties(),
       R"(UnnestMap[c6 := c3/child::title]  {card:n, ord:doc(c6), dup-free(c6), non-nested(c6), class:element}
-  Select[(cp4 = cs5)]  {card:n}
-    TmpCs[cs5; context c2]  {card:n, ord:grouped(cs5), non-nested(cs5), class:value}
+  Limit[1]  {card:<=1}
+    Select[(cp4 = 1)]  {card:n}
       Counter[cp4, reset on c2]  {card:n, class:value}
-        UnnestMap[c3 := c2/child::article]  {card:n, ord:doc(c3), dup-free(c3), non-nested(c3), class:element}
+        UnnestMap^rev[c3 := c2/child::article]  {card:n, dup-free(c3), non-nested(c3), class:element}
           UnnestMap[c2 := c1/child::dblp]  {card:<=1, ord:doc(c2), dup-free(c2), non-nested(c2), class:element}
             Map[c1 := root*(cn)]  {card:1, ord:doc(c1), dup-free(c1), non-nested(c1), class:root}
               SingletonScan  {card:1}
 )");
-  // The proven result order lets the API skip its final sort.
+  // The reverse scan leaves at most one article, so the result order is
+  // still proven and the API skips its final sort.
   EXPECT_TRUE(q->ResultDocumentOrdered());
 }
 
@@ -241,15 +242,13 @@ TEST(ExplainSegmentsGoldenTest, Fig6Segments) {
 TEST(ExplainSegmentsGoldenTest, Fig10DblpSegments) {
   auto q = CompileQuery(kDblp, "/dblp/article[position() = last()]/title");
   EXPECT_EQ(q->ExplainSegments(),
-            R"(pipeline segments: 3 (2 fusable)
+            R"(pipeline segments: 1 (1 fusable)
   segment 0 [fusable]
     UnnestMap[c6 := c3/child::title]
-    Select[(cp4 = cs5)]
-  segment 1 [boundary: materializes one context group (Tmp^cs spool)]
-    TmpCs[cs5; context c2]
-  segment 2 [fusable]
+    Limit[1]
+    Select[(cp4 = 1)]
     Counter[cp4, reset on c2]
-    UnnestMap[c3 := c2/child::article]
+    UnnestMap^rev[c3 := c2/child::article]
     UnnestMap[c2 := c1/child::dblp]
     Map[c1 := root*(cn)]
     SingletonScan
@@ -453,20 +452,20 @@ L0:
 TEST(ExplainPlanGoldenTest, Fig10DblpPositional) {
   ExpectPlanGoldens(kDblp, "/dblp/article[position() = last()]/title",
                     {R"golden(UnnestMap[c6 := c3/child::title]
-  Select[(cp4 = cs5)]
-    TmpCs[cs5; context c2]
+  Limit[1]
+    Select[(cp4 = 1)]
       Counter[cp4 := counter++, reset on c2]
-        UnnestMap[c3 := c2/child::article]
+        UnnestMap^rev[c3 := c2/child::article]
           UnnestMap[c2 := c1/child::dblp]
             Map[c1 := root*(cn)]
               SingletonScan
 )golden",
-                     R"golden(registers: 9, nested plans: 0
-UnnestMap[c6@r8 := c3@r5/child::title]
-  Select[(cp4 = cs5)]
-    TmpCs[cs5@r7; context c2@r4]
+                     R"golden(registers: 8, nested plans: 0
+UnnestMap[c6@r7 := c3@r5/child::title]
+  Limit[1]
+    Select[(cp4 = 1)]
       Counter[cp4@r6 := counter++, reset on c2@r4]
-        UnnestMap[c3@r5 := c2@r4/child::article]
+        UnnestMap^rev[c3@r5 := c2@r4/child::article]
           UnnestMap[c2@r4 := c1@r3/child::dblp]
             Map[c1@r3 := root*(cn)]
               SingletonScan
@@ -480,11 +479,11 @@ L0:
 == Select ==
 L0:
   0: load_attr r0, t6
-  1: load_attr r1, t7
+  1: load_const r1, 1
   2: compare r2, r0 = r1
   3: halt r2
 )golden",
-                     "=== nvm after (7 instructions) ===\n"
+                     "=== nvm after (5 instructions) ===\n"
                      R"golden(== Map[c1@r3] ==
 L0:
   0: load_attr r0, t0
@@ -492,10 +491,8 @@ L0:
   2: halt r1
 == Select ==
 L0:
-  0: load_attr r0, t6
-  1: load_attr r1, t7
-  2: compare r2, r0 = r1
-  3: halt r2
+  0: cmp_attr_const r2, t6 = 1
+  1: halt r2
 )golden"});
 }
 

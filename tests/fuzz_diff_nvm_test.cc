@@ -24,6 +24,7 @@
 #include <string>
 
 #include "api/database.h"
+#include "base/xpath_number.h"
 #include "dom/dom_builder.h"
 #include "interp/evaluator.h"
 
@@ -261,6 +262,129 @@ TEST_P(FuzzDiffNvmTest, OptimizedProgramsAgreeWithBaseline) {
             << "\ndocument: " << xml;
       }
     }
+  }
+}
+
+/// Random single-step value predicates — the shapes that compile to the
+/// kStepExists / kStepCount loops — over documents whose leaves hold
+/// numbers, words, nothing, or text split by a nested element.
+class StepLoopQueryGen {
+ public:
+  explicit StepLoopQueryGen(uint32_t seed) : rng_(seed) {}
+
+  std::string Query() {
+    std::string path =
+        Pick({"//a", "//b", "/root/*", "//*", "//c/parent::*"});
+    std::string out = path + "[" + Predicate() + "]";
+    if (Int(4) == 0) out += "/" + Pick({"a", "@x", "b"});
+    return Int(5) == 0 ? "count(" + out + ")" : out;
+  }
+
+ private:
+  int Int(int n) { return std::uniform_int_distribution<int>(0, n - 1)(rng_); }
+
+  std::string Pick(std::initializer_list<const char*> options) {
+    auto it = options.begin();
+    std::advance(it, Int(static_cast<int>(options.size())));
+    return *it;
+  }
+
+  std::string Predicate() {
+    std::string cmp = Pick({"=", "!=", "<", ">="});
+    std::string step = Pick({"a", "b", "c", "zzz", "@x", "@y"});
+    std::string lit = Pick({"'0'", "'1'", "'x'", "'1.5'", "''", "0", "1",
+                            "2", "1.5"});
+    switch (Int(6)) {
+      case 0:
+        return lit + " " + cmp + " " + step;
+      case 1:
+        return "count(" + step + ") " + Pick({"=", ">", "<"}) + " " +
+               Pick({"0", "1", "2"});
+      case 2:
+        return step + " = " + Pick({"true()", "false()"});
+      case 3:
+        return step;
+      default:
+        return step + " " + cmp + " " + lit;
+    }
+  }
+
+  std::mt19937 rng_;
+};
+
+std::string ValueDocument(uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<int> pick(0, 9);
+  const char* names[] = {"a", "b", "c"};
+  const char* texts[] = {"0", "1", "2", "x", "1.5", " 1 ", "", "10"};
+  std::function<void(int)> emit;
+  std::string out;
+  emit = [&](int depth) {
+    const char* name = names[pick(rng) % 3];
+    out += std::string("<") + name;
+    if (pick(rng) < 5) out += " x='" + std::string(texts[pick(rng) % 8]) + "'";
+    if (pick(rng) < 2) out += " y='" + std::to_string(pick(rng) % 3) + "'";
+    out += ">";
+    if (depth >= 3 || pick(rng) < 3) {
+      int form = pick(rng);
+      if (form < 6) {
+        out += texts[pick(rng) % 8];
+      } else if (form < 8) {
+        // A string-value spanning a nested element: "1" + "0" = "10".
+        out += std::string(texts[pick(rng) % 3]) + "<c>" +
+               texts[pick(rng) % 3] + "</c>";
+      }
+    } else {
+      int children = pick(rng) % 4;
+      for (int i = 0; i < children; ++i) emit(depth + 1);
+    }
+    out += std::string("</") + name + ">";
+  };
+  out += "<root>";
+  for (int i = 0; i < 4; ++i) emit(1);
+  out += "</root>";
+  return out;
+}
+
+/// Renders the interpreter's result the way RunAlgebraic renders the
+/// engine's (numbers through string(), as EvaluateString does).
+std::string RenderOracle(const interp::Object& v) {
+  if (v.kind == interp::Object::Kind::kNodeSet) {
+    std::string out = "nodes:";
+    for (const dom::Node* n : v.nodes) out += " " + std::to_string(n->order);
+    return out;
+  }
+  return "str: " + XPathNumberToString(v.number);
+}
+
+TEST_P(FuzzDiffNvmTest, StepLoopsAgreeWithInterpreter) {
+  uint32_t seed = GetParam() + BaseSeed();
+  SCOPED_TRACE(::testing::Message()
+               << "effective seed " << seed
+               << "; rerun with NATIX_FUZZ_DIFF_NVM=" << BaseSeed());
+  std::string xml = ValueDocument(seed * 7919 + 3);
+
+  auto db = Database::CreateTemp();
+  ASSERT_TRUE(db.ok());
+  auto info = (*db)->LoadDocument("doc", xml);
+  ASSERT_TRUE(info.ok()) << xml;
+  auto dom_doc = dom::ParseDocument(xml);
+  ASSERT_TRUE(dom_doc.ok());
+
+  StepLoopQueryGen gen(seed);
+  for (int i = 0; i < 60; ++i) {
+    std::string query = gen.Query();
+    auto actual = RunAlgebraic(db->get(), info->root, query,
+                               /*optimize_nvm=*/true);
+    ASSERT_TRUE(actual.ok())
+        << query << ": " << actual.status().ToString();
+    interp::EvaluatorOptions oracle_options;
+    auto oracle = interp::Evaluator::Run(dom_doc->get(), query,
+                                         (*dom_doc)->root(), oracle_options);
+    ASSERT_TRUE(oracle.ok()) << query;
+    ASSERT_EQ(*actual, RenderOracle(*oracle))
+        << "step loop diverges from the interpreter on " << query
+        << "\ndocument: " << xml;
   }
 }
 

@@ -96,6 +96,10 @@ std::vector<ScalarPtr> MakeVector(ScalarPtr a, ScalarPtr b, ScalarPtr c) {
   return v;
 }
 
+/// These scalars embed no step: node tests never need resolving.
+NodeTestResolver NoNodeTests() {
+  return [](const xpath::AstNodeTest&) { return runtime::NodeTest(); };
+}
 
 /// Evaluates a scalar over a one-attribute tuple {"attr0": tuple_value}.
 StatusOr<Value> Evaluate(const Scalar& scalar, const Value& tuple_value,
@@ -110,7 +114,7 @@ StatusOr<Value> Evaluate(const Scalar& scalar, const Value& tuple_value,
     return Status::Internal("no nested plans in this test");
   };
   NATIX_ASSIGN_OR_RETURN(Program program,
-                         CompileScalar(scalar, resolver, registrar));
+                         CompileScalar(scalar, resolver, NoNodeTests(), registrar));
   Vm vm(&program);
   runtime::RegisterFile registers(1);
   registers[0] = tuple_value;
@@ -347,7 +351,7 @@ TEST(NvmJumpFixupTest, ShortCircuitTargetsStayInRange) {
   NestedRegistrar registrar = [](const Scalar&) -> StatusOr<size_t> {
     return Status::Internal("no nested plans");
   };
-  auto program = CompileScalar(*expr, resolver, registrar);
+  auto program = CompileScalar(*expr, resolver, NoNodeTests(), registrar);
   ASSERT_TRUE(program.ok());
   for (const Instruction& ins : program->code) {
     if (ins.op == OpCode::kJump || ins.op == OpCode::kJumpIfTrue ||
@@ -435,7 +439,7 @@ TEST(NvmTest, DisassemblerIsReadable) {
   NestedRegistrar registrar = [](const Scalar&) -> StatusOr<size_t> {
     return 0;
   };
-  auto program = CompileScalar(*expr, resolver, registrar);
+  auto program = CompileScalar(*expr, resolver, NoNodeTests(), registrar);
   ASSERT_TRUE(program.ok());
   std::string text = program->Disassemble();
   EXPECT_NE(text.find("load_const"), std::string::npos);

@@ -62,7 +62,9 @@ TEST(ObsStatsTest, StatsAreOffByDefault) {
 
 // Smart aggregation (Sec. 5.2.5): for a count(...[exists-predicate])
 // query the existential probe must consume strictly fewer input tuples
-// than the input cardinality — one b per a, not all nine.
+// than the input cardinality — one b per a, not all nine. The predicate
+// takes the descendant axis so it stays a nested plan; the single-step
+// [b] is an NVM step loop (StepLoopStopsAtFirstMatch).
 TEST(ObsStatsTest, SmartAggregationConsumesFewerTuplesThanInput) {
   NATIX_REQUIRE_OBS();
   Fixture f = Load(
@@ -71,7 +73,7 @@ TEST(ObsStatsTest, SmartAggregationConsumesFewerTuplesThanInput) {
       "<a><b/><b/><b/></a>"
       "<a><b/><b/><b/></a>"
       "</xdoc>");
-  auto query = CompileWithStats(f, "count(/xdoc/a[b])");
+  auto query = CompileWithStats(f, "count(/xdoc/a[descendant::b])");
   auto value = query->EvaluateNumber(f.root);
   ASSERT_TRUE(value.ok());
   EXPECT_EQ(*value, 3.0);
@@ -87,6 +89,33 @@ TEST(ObsStatsTest, SmartAggregationConsumesFewerTuplesThanInput) {
   EXPECT_EQ(exists->agg_input, 3u);
   const uint64_t input_cardinality = 9;  // b elements in the document
   EXPECT_LT(exists->agg_input, input_cardinality);
+}
+
+// The single-step predicate [b] runs as one NVM step loop per a, with no
+// nested plan: it stops at the first b, and the b it reads counts as a
+// step tuple exactly as the nested plan's unnest-map counted it.
+TEST(ObsStatsTest, StepLoopStopsAtFirstMatch) {
+  NATIX_REQUIRE_OBS();
+  Fixture f = Load(
+      "<xdoc>"
+      "<a><b/><b/><b/></a>"
+      "<a><b/><b/><b/></a>"
+      "<a><b/><b/><b/></a>"
+      "</xdoc>");
+  for (const char* text : {"count(/xdoc/a[b])", "count(/xdoc/a[descendant::b])"}) {
+    auto query = CompileWithStats(f, text);
+    auto value = query->EvaluateNumber(f.root);
+    ASSERT_TRUE(value.ok()) << text;
+    EXPECT_EQ(*value, 3.0) << text;
+    // xdoc, three a, and one b per a: 7, not the 13 a full scan reads.
+    EXPECT_EQ(query->last_stats().step_tuples, 7u) << text;
+  }
+  auto loop = CompileWithStats(f, "count(/xdoc/a[b])");
+  ASSERT_TRUE(loop->EvaluateNumber(f.root).ok());
+  EXPECT_EQ(loop->Stats()->FindOp("NestedAgg[exists]"), nullptr)
+      << loop->Stats()->RenderAnalyze();
+  EXPECT_NE(loop->prepared().plan().nvm_listing_after().find("step_exists"),
+            std::string::npos);
 }
 
 // Tmp^cs (Sec. 5.2.4): a last() predicate materializes the context

@@ -145,7 +145,8 @@ translate::TranslationResult Translate(const std::string& query) {
   xpath::FoldConstants(ast->get());
   xpath::Normalize(ast->get());
   auto result =
-      translate::Translate(**ast, translate::TranslatorOptions::Improved());
+      translate::Translate(**ast, translate::TranslatorOptions::Improved(),
+                           analysis::VerificationEnabled());
   NATIX_CHECK(result.ok());
   return std::move(result.value());
 }

@@ -58,7 +58,8 @@ translate::TranslationResult Translate(const std::string& query,
   xpath::Normalize(ast->get());
   auto options = canonical ? translate::TranslatorOptions::Canonical()
                            : translate::TranslatorOptions::Improved();
-  auto result = translate::Translate(**ast, options);
+  auto result =
+      translate::Translate(**ast, options, VerificationEnabled());
   NATIX_CHECK(result.ok());
   return std::move(result.value());
 }
@@ -180,9 +181,17 @@ TEST(LogicalVerifierTest, RealTranslationsVerify) {
   }
 }
 
+TEST(LogicalVerifierTest, RejectsReverseNonChildStep) {
+  auto result = Translate("/a/@b");
+  ASSERT_EQ(result.plan->kind, OpKind::kUnnestMap);
+  result.plan->reverse = true;
+  ExpectRejected(VerifyTranslation(result),
+                 "reverse enumeration of a non-child axis");
+}
+
 TEST(LogicalVerifierTest, SimplifyPlanCheckedAcceptsRealPlans) {
   auto result = Translate("//a[b]/c[1]");
-  auto removed = algebra::SimplifyPlan(&result.plan);
+  auto removed = algebra::SimplifyPlan(&result.plan, VerificationEnabled());
   EXPECT_TRUE(removed.ok());
 }
 
@@ -411,6 +420,32 @@ TEST(NvmVerifierTest, RejectsOutOfRangeNestedPlanIndex) {
       {Ins(OpCode::kEvalNested, 0, 2), Ins(OpCode::kHalt, 0)}, 1);
   ExpectRejected(VerifyProgram(program, 0, 2),
                  "pc 0 eval_nested: nested plan index 2 out of range");
+}
+
+TEST(NvmVerifierTest, RejectsMalformedStepLoops) {
+  auto program = MakeProgram(
+      {Ins(OpCode::kStepExists, 0, 1, 0), Ins(OpCode::kHalt, 0)}, 1);
+  ExpectRejected(VerifyProgram(program, 2, 0),
+                 "pc 0 step_exists: step index 0 out of range");
+
+  nvm::StepLoop step;
+  step.axis = runtime::Axis::kDescendant;
+  program.steps.push_back(step);
+  ExpectRejected(VerifyProgram(program, 2, 0),
+                 "step loop on the descendant axis");
+
+  program.steps[0].axis = runtime::Axis::kAttribute;
+  program.steps[0].compare = true;
+  program.steps[0].constant = runtime::Value::Boolean(true);
+  ExpectRejected(VerifyProgram(program, 2, 0),
+                 "step loop compares with a non-literal operand");
+
+  program.steps[0].constant = runtime::Value::String("x");
+  EXPECT_TRUE(VerifyProgram(program, 2, 0).ok());
+  program.code[0].op = OpCode::kStepCount;
+  ExpectRejected(VerifyProgram(program, 1, 0),
+                 "pc 0 step_count: tuple register r1 outside the plan "
+                 "register file");
 }
 
 TEST(NvmVerifierTest, RejectsFallingOffTheEnd) {

@@ -1,5 +1,5 @@
-// Positional-semantics conformance for the Limit pushdown (ISSUE 7,
-// docs/LIMIT-PUSHDOWN.md): a matrix of positional predicate shapes —
+// Positional-semantics conformance for the Limit pushdown
+// (docs/LIMIT-PUSHDOWN.md): a matrix of positional predicate shapes —
 // position() = / < / <= / > / != k, the numeric-literal sugar [3],
 // last()-relative forms, nested predicates, reverse axes — is run
 // through the algebraic engine with the pushdown on, with it off, and
@@ -178,6 +178,98 @@ TEST(PositionalConformanceTest, MatrixAgreesAcrossEnginesAndPinsTheGate) {
     ASSERT_TRUE(canonical.ok()) << c.query;
     EXPECT_EQ(*canonical, expected_str)
         << "canonical plan diverges on " << c.query;
+  }
+}
+
+/// The reverse-scan matrix: `position() = last() - k` over one context
+/// node counts from the end (limit:reverse-scan, docs/LIMIT-PUSHDOWN.md).
+/// Each case pins how often the rule fires under the improved
+/// translation; values are cross-checked against the interpreter with
+/// the limit rules on and off.
+struct ReverseCase {
+  const char* query;
+  int fires;
+};
+
+const ReverseCase kReverseMatrix[] = {
+    // Fire: the context /r is the document element (card:<=1).
+    {"/r/a[last()]", 1},
+    {"/r/a[position() = last()]", 1},
+    {"/r/a[position() = last() - 1]", 1},
+    {"/r/a[last() - 2 = position()]", 1},
+    // k at or past the group size: empty, still by reverse scan.
+    {"/r/a[position() = last() - 3]", 1},
+    {"/r/a[position() = last() - 10]", 1},
+    // Position-free predicates between the counter and the step (the
+    // shape of Fig. 10's author_last row).
+    {"/r/a[b = '5'][position() = last()]", 1},
+    {"/r/a[@id][last()]/b", 1},
+    // The first reverse scan leaves one a: the b step's context is
+    // proved card:<=1 in turn.
+    {"/r/a[last()]/b[position() = last()]", 2},
+    // No fire: several context nodes (one group per a).
+    {"/r/*/b[last()]", 0},
+    {"/r/a/b[last()]", 0},
+    {"//a[last()]", 0},
+    // No fire: a `*` test, a reverse axis.
+    {"/r/*[last()]", 0},
+    {"/r/a[last()]/preceding-sibling::a[last()]", 1},
+    // No fire: k is not a non-negative integer, or the comparison is
+    // not an equality.
+    {"/r/a[position() = last() - 1.5]", 0},
+    {"/r/a[position() = last() + 1]", 0},
+    {"/r/a[position() < last()]", 0},
+    // No fire: a positional predicate before last() renumbers the
+    // stream through its own counter.
+    {"/r/a[position() < 3][last()]", 0},
+    {"/r/a[2][last()]", 0},
+};
+
+TEST(PositionalConformanceTest, ReverseScanMatrixPinsTheGate) {
+  auto db = Database::CreateTemp();
+  ASSERT_TRUE(db.ok());
+  auto info = (*db)->LoadDocument("doc", kDoc);
+  ASSERT_TRUE(info.ok());
+  auto dom_doc = dom::ParseDocument(kDoc);
+  ASSERT_TRUE(dom_doc.ok());
+
+  auto count_fires = [&](const std::string& query,
+                         const translate::TranslatorOptions& options) {
+    auto compiled = (*db)->Compile(query, options);
+    EXPECT_TRUE(compiled.ok()) << query;
+    int fires = 0;
+    if (!compiled.ok()) return fires;
+    for (const algebra::RewriteEvent& event :
+         (*compiled)->prepared().rewrites()) {
+      if (event.rule == "limit:reverse-scan") ++fires;
+    }
+    return fires;
+  };
+
+  for (const ReverseCase& c : kReverseMatrix) {
+    interp::EvaluatorOptions memo;
+    auto expected = interp::Evaluator::Run(dom_doc->get(), c.query,
+                                           (*dom_doc)->root(), memo);
+    ASSERT_TRUE(expected.ok()) << c.query;
+    std::string expected_str = RenderInterp(*expected);
+
+    EXPECT_EQ(count_fires(c.query, translate::TranslatorOptions::Improved()),
+              c.fires)
+        << "limit:reverse-scan firings on " << c.query;
+    auto with_rule = RunAlgebraic(db->get(), info->root, c.query,
+                                  translate::TranslatorOptions::Improved());
+    ASSERT_TRUE(with_rule.ok())
+        << c.query << ": " << with_rule.status().ToString();
+    EXPECT_EQ(*with_rule, expected_str)
+        << "reverse-scan plan diverges on " << c.query;
+
+    translate::TranslatorOptions no_limit;
+    no_limit.limit_pushdown = false;
+    EXPECT_EQ(count_fires(c.query, no_limit), 0) << c.query;
+    auto without_rule = RunAlgebraic(db->get(), info->root, c.query, no_limit);
+    ASSERT_TRUE(without_rule.ok()) << c.query;
+    EXPECT_EQ(*without_rule, expected_str)
+        << "limit-off plan diverges on " << c.query;
   }
 }
 

@@ -9,6 +9,7 @@
 
 #include "algebra/properties.h"
 #include "algebra/rewriter.h"
+#include "analysis/plan_verifier.h"
 #include "translate/translator.h"
 #include "xpath/fold.h"
 #include "xpath/normalizer.h"
@@ -34,7 +35,8 @@ translate::TranslationResult Translate(const std::string& query,
   xpath::Normalize(ast->get());
   translate::TranslatorOptions options;  // improved
   options.simplify_plan = simplify;
-  auto result = translate::Translate(**ast, options);
+  auto result = translate::Translate(**ast, options,
+                                     analysis::VerificationEnabled());
   NATIX_CHECK(result.ok());
   return std::move(result.value());
 }
@@ -275,7 +277,8 @@ TEST(PropertyInferenceTest, StaticallyEmptyCompositionPropagates) {
 
 TEST(PropertyInferenceTest, EmptyPlanPrunesToSelectFalseMarker) {
   auto result = Translate("/a/@x/b");
-  auto removed = algebra::SimplifyPlan(&result.plan);
+  auto removed =
+      algebra::SimplifyPlan(&result.plan, analysis::VerificationEnabled());
   ASSERT_TRUE(removed.ok()) << removed.status().ToString();
   EXPECT_GE(*removed, 1u);
   // The canonical statically-empty marker survives as the plan.

@@ -187,7 +187,10 @@ SubscriptPtr LessThan(ExecutionContext* state, NestedTable* nested,
       [](const algebra::Scalar&) -> StatusOr<size_t> {
     return Status::Internal("none");
   };
-  auto compiled = nvm::CompileScalar(*cmp, resolver, registrar);
+  nvm::NodeTestResolver no_tests = [](const xpath::AstNodeTest&) {
+    return runtime::NodeTest();
+  };
+  auto compiled = nvm::CompileScalar(*cmp, resolver, no_tests, registrar);
   NATIX_CHECK(compiled.ok());
   *program = std::move(compiled).value();
   return std::make_unique<Subscript>(*program, state, nested);

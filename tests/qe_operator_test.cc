@@ -9,6 +9,7 @@
 #include <memory>
 
 #include "algebra/operator.h"
+#include "analysis/plan_verifier.h"
 #include "api/database.h"
 #include "qe/codegen.h"
 #include "qe/exec_context.h"
@@ -77,7 +78,8 @@ struct Harness {
     translation.plan = std::move(plan);
     translation.result_attr = result_attr;
     translation.type = type;
-    auto prepared = Codegen::Prepare(std::move(translation), db->store());
+    auto prepared = Codegen::Prepare(std::move(translation), db->store(),
+                                     analysis::VerificationEnabled());
     NATIX_CHECK(prepared.ok());
     auto context = (*prepared)->NewContext();
     storage::NodeRecord record;

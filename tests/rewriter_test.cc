@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/plan_verifier.h"
 #include "translate/translator.h"
 #include "xpath/fold.h"
 #include "xpath/normalizer.h"
@@ -24,14 +25,15 @@ translate::TranslationResult TranslateNoSimplify(const std::string& query) {
   xpath::Normalize(ast->get());
   translate::TranslatorOptions options;  // improved
   options.simplify_plan = false;
-  auto result = translate::Translate(**ast, options);
+  auto result = translate::Translate(**ast, options,
+                                     analysis::VerificationEnabled());
   NATIX_CHECK(result.ok());
   return std::move(result.value());
 }
 
 /// Simplifies `plan`, expecting every rule application to verify.
 size_t Simplify(OpPtr* plan, RewriteLog* log = nullptr) {
-  auto removed = SimplifyPlan(plan, log);
+  auto removed = SimplifyPlan(plan, analysis::VerificationEnabled(), log);
   EXPECT_TRUE(removed.ok()) << removed.status().ToString();
   return removed.ok() ? *removed : 0;
 }
@@ -197,7 +199,8 @@ TEST(RewriterTest, ImprovedDefaultsSimplify) {
   ASSERT_TRUE(xpath::Analyze(ast->get()).ok());
   xpath::Normalize(ast->get());
   auto result =
-      translate::Translate(**ast, translate::TranslatorOptions::Improved());
+      translate::Translate(**ast, translate::TranslatorOptions::Improved(),
+                           analysis::VerificationEnabled());
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(CountKind(*result->plan, OpKind::kDupElim), 0u);
   // The applied rewrites are logged with their proving properties.
@@ -207,7 +210,8 @@ TEST(RewriterTest, ImprovedDefaultsSimplify) {
 TEST(RewriterTest, CheckedSimplifyAcceptsItsOwnRewrites) {
   auto result = TranslateNoSimplify("(//a/b)[1]");
   RewriteLog log;
-  auto removed = SimplifyPlan(&result.plan, &log);
+  auto removed =
+      SimplifyPlan(&result.plan, analysis::VerificationEnabled(), &log);
   ASSERT_TRUE(removed.ok()) << removed.status().ToString();
   EXPECT_GE(*removed, 1u);
 }

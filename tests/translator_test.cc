@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "algebra/properties.h"
+#include "analysis/plan_verifier.h"
 #include "xpath/fold.h"
 #include "xpath/normalizer.h"
 #include "xpath/parser.h"
@@ -27,7 +28,7 @@ TranslationResult TranslateQuery(const std::string& query,
   NATIX_CHECK(xpath::Analyze(ast->get()).ok());
   xpath::FoldConstants(ast->get());
   xpath::Normalize(ast->get());
-  auto result = Translate(**ast, options);
+  auto result = Translate(**ast, options, analysis::VerificationEnabled());
   NATIX_CHECK(result.ok());
   return std::move(result.value());
 }
@@ -98,10 +99,19 @@ TEST(TranslatorTest, PositionalPredicateAddsCounter) {
 }
 
 TEST(TranslatorTest, LastPredicateAddsTmpCs) {
-  auto result = TranslateQuery("/a/b[position() = last()]",
-                               TranslatorOptions::Improved());
+  // The translation proper, before the simplifier's reverse scan.
+  TranslatorOptions options = TranslatorOptions::Improved();
+  options.simplify_plan = false;
+  auto result = TranslateQuery("/a/b[position() = last()]", options);
   EXPECT_EQ(CountOps(*result.plan, OpKind::kCounter), 1u);
   EXPECT_EQ(CountOps(*result.plan, OpKind::kTmpCs), 1u);
+  // Over the one context /a the simplifier counts from the end instead
+  // (limit:reverse-scan) and the spool goes.
+  auto simplified = TranslateQuery("/a/b[position() = last()]",
+                                   TranslatorOptions::Improved());
+  EXPECT_EQ(CountOps(*simplified.plan, OpKind::kCounter), 1u);
+  EXPECT_EQ(CountOps(*simplified.plan, OpKind::kTmpCs), 0u);
+  EXPECT_EQ(CountOps(*simplified.plan, OpKind::kLimit), 1u);
 }
 
 TEST(TranslatorTest, EachPredicateGetsItsOwnCounter) {
