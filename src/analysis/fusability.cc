@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "analysis/property_inference.h"
+#include "nvm/assembler.h"
 
 namespace natix::analysis {
 
@@ -14,10 +15,18 @@ using algebra::Operator;
 using algebra::Scalar;
 using algebra::ScalarKind;
 
+/// Whether `scalar` compiles to a nested plan: a nested scalar of the
+/// single-step shape becomes an NVM step loop instead (docs/NVM.md).
+bool LowersToNestedPlan(const Scalar& scalar) {
+  nvm::SingleStep step;
+  return scalar.kind == ScalarKind::kNested && scalar.plan != nullptr &&
+         !nvm::MatchSingleStep(scalar, &step);
+}
+
 /// A subscript that evaluates a nested sequence-valued plan is not
 /// effect-free: it opens, drains and closes a whole subplan per tuple.
 bool ScalarHasNested(const Scalar& scalar) {
-  if (scalar.kind == ScalarKind::kNested) return true;
+  if (LowersToNestedPlan(scalar)) return true;
   for (const auto& child : scalar.children) {
     if (ScalarHasNested(*child)) return true;
   }
@@ -54,7 +63,7 @@ class Segmenter {
   }
 
   void WalkNested(const Scalar& scalar) {
-    if (scalar.kind == ScalarKind::kNested && scalar.plan != nullptr) {
+    if (LowersToNestedPlan(scalar)) {
       Walk(*scalar.plan);
       Flush();
     }
