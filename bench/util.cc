@@ -107,21 +107,11 @@ RepTimings TimeNatixRepsWith(LoadedDocument& doc, const std::string& query,
   return TimeRepeated(BenchReps(), [&] { RunOnce(exec.get(), doc.root); });
 }
 
-NvmCounts CountNvm(LoadedDocument& doc, const std::string& query) {
-  NvmCounts out;
-  auto optimized =
-      CompileOrDie(doc, query, translate::TranslatorOptions::Improved());
-  const qe::PlanTemplate& plan = optimized->prepared().plan();
-  out.insns_before = plan.nvm_insns_before();
-  out.insns_after = plan.nvm_insns_after();
-  out.retired_opt = RunOnce(optimized.get(), doc.root);
-
-  translate::TranslatorOptions no_opt =
-      translate::TranslatorOptions::Improved();
-  no_opt.optimize_nvm = false;
-  out.retired_noopt =
-      RunOnce(CompileOrDie(doc, query, no_opt).get(), doc.root);
-  return out;
+uint64_t CountNvmRetired(LoadedDocument& doc, const std::string& query) {
+  return RunOnce(
+      CompileOrDie(doc, query, translate::TranslatorOptions::Improved())
+          .get(),
+      doc.root);
 }
 
 StatsRun TimeNatixWithStats(LoadedDocument& doc, const std::string& query) {
@@ -193,9 +183,7 @@ struct JsonRow {
   /// Rewrite ablation: same translation with the property-justified
   /// simplifier off (the "before" of the Sort/DupElim elimination).
   RepTimings natix_no_rewrite;
-  /// NVM ablation: same translation with the bytecode optimizer off.
-  RepTimings natix_no_nvmopt;
-  NvmCounts nvm;
+  uint64_t nvm_retired = 0;
   RepTimings interp_memo;
   RepTimings interp_naive;
   StatsRun stats{-1, {}, {}};
@@ -258,8 +246,6 @@ void WriteBenchJson(const char* figure, const std::string& query,
     AppendReps(&out, "natix", row.natix);
     out += ",\n     ";
     AppendReps(&out, "natix_no_rewrite", row.natix_no_rewrite);
-    out += ",\n     ";
-    AppendReps(&out, "natix_no_nvmopt", row.natix_no_nvmopt);
     out += ", ";
     AppendTiming(&out, "natix_stats_s", row.stats.seconds);
     out += ",\n     ";
@@ -294,13 +280,7 @@ void WriteBenchJson(const char* figure, const std::string& query,
     out += ", ";
     AppendCounter(&out, "page_hits", row.stats.buffer.page_hits);
     out += ", ";
-    AppendCounter(&out, "nvm_insns_static_before", row.nvm.insns_before);
-    out += ", ";
-    AppendCounter(&out, "nvm_insns_static_after", row.nvm.insns_after);
-    out += ", ";
-    AppendCounter(&out, "nvm_insns_retired", row.nvm.retired_opt);
-    out += ", ";
-    AppendCounter(&out, "nvm_insns_retired_noopt", row.nvm.retired_noopt);
+    AppendCounter(&out, "nvm_insns_retired", row.nvm_retired);
     out += "}}";
     out += (i + 1 < rows.size()) ? ",\n" : "\n";
   }
@@ -324,17 +304,15 @@ void RunGeneratedFigure(const char* figure, const std::string& query,
   obs::MetricsRegistry::Global().Reset();
   std::printf("# %s: %s (%d reps/point, median plotted)\n", figure,
               query.c_str(), BenchReps());
-  std::printf("%-9s %9s %12s %12s %12s %14s %14s\n", "elements", "results",
-              "natix[s]", "no-rewrite[s]", "no-nvmopt[s]",
-              "interp-memo[s]", "interp-naive[s]");
-  // The rewrite and NVM ablation columns: the improved translation with
-  // the property-justified simplifier / the bytecode optimizer off.
+  std::printf("%-9s %9s %12s %12s %14s %14s\n", "elements", "results",
+              "natix[s]", "no-rewrite[s]", "interp-memo[s]",
+              "interp-naive[s]");
+  // The rewrite ablation column: the improved translation with the
+  // property-justified simplifier off.
   const translate::TranslatorOptions improved =
       translate::TranslatorOptions::Improved();
   translate::TranslatorOptions no_rewrite = improved;
   no_rewrite.simplify_plan = false;
-  translate::TranslatorOptions no_nvmopt = improved;
-  no_nvmopt.optimize_nvm = false;
   double last_natix = 0;
   double last_memo = 0;
   double last_naive = 0;
@@ -355,16 +333,14 @@ void RunGeneratedFigure(const char* figure, const std::string& query,
       last_natix = row.natix.median_s;
       row.results = results;
       row.natix_no_rewrite = TimeNatixRepsWith(doc, query, no_rewrite);
-      row.natix_no_nvmopt = TimeNatixRepsWith(doc, query, no_nvmopt);
-      row.nvm = CountNvm(doc, query);
+      row.nvm_retired = CountNvmRetired(doc, query);
       // A second, instrumented run gathers the per-operator counters
       // without polluting the uninstrumented timings above.
       row.stats = TimeNatixWithStats(doc, query);
-      std::printf(" %9zu %12.4f %12.4f %12.4f", results,
-                  row.natix.median_s, row.natix_no_rewrite.median_s,
-                  row.natix_no_nvmopt.median_s);
+      std::printf(" %9zu %12.4f %12.4f", results, row.natix.median_s,
+                  row.natix_no_rewrite.median_s);
     } else {
-      std::printf(" %9s %12s %12s %12s", "-", "-", "-", "-");
+      std::printf(" %9s %12s %12s", "-", "-", "-");
     }
     if (last_memo <= budget_s) {
       row.interp_memo = TimeInterpReps(doc, query, /*memoize=*/true);

@@ -59,22 +59,13 @@ double TimeNatix(LoadedDocument& doc, const std::string& query,
 /// BenchReps() repetitions of the algebraic engine on `query` compiled
 /// with `options` (one compile, repeated evaluations). The figure
 /// drivers pass the ablation's options: simplify_plan = false for the
-/// "natix_no_rewrite" column, optimize_nvm = false for
-/// "natix_no_nvmopt", limit_pushdown = false for "natix_no_limit"
-/// (docs/LIMIT-PUSHDOWN.md).
+/// "natix_no_rewrite" column, limit_pushdown = false for
+/// "natix_no_limit" (docs/LIMIT-PUSHDOWN.md).
 RepTimings TimeNatixRepsWith(LoadedDocument& doc, const std::string& query,
                              const translate::TranslatorOptions& options);
 
-/// NVM subscript instruction counts for `query`: static bytecode sizes
-/// before/after optimization (summed over the plan's subscripts) and
-/// instructions retired by one evaluation with the optimizer on / off.
-struct NvmCounts {
-  uint64_t insns_before = 0;
-  uint64_t insns_after = 0;
-  uint64_t retired_opt = 0;
-  uint64_t retired_noopt = 0;
-};
-NvmCounts CountNvm(LoadedDocument& doc, const std::string& query);
+/// NVM subscript instructions retired by one evaluation of `query`.
+uint64_t CountNvmRetired(LoadedDocument& doc, const std::string& query);
 
 /// One instrumented run of `query`: compiles with stats collection,
 /// evaluates once, and returns the wall time plus the plan-wide counter

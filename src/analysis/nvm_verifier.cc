@@ -2,7 +2,6 @@
 #include <deque>
 #include <vector>
 
-#include "analysis/nvm_dataflow.h"
 #include "analysis/plan_verifier.h"
 #include "runtime/conversions.h"
 
@@ -19,7 +18,7 @@ Status Malformed(const Program& program, size_t pc, const std::string& detail) {
   const Instruction& ins = program.code[pc];
   return Status::Internal("plan verifier (nvm): pc " + std::to_string(pc) +
                           " " + OpCodeName(ins.op) + ": " + detail + " [" +
-                          RenderNvmInstruction(program, pc) + "]");
+                          nvm::RenderInstruction(program, pc) + "]");
 }
 
 /// Definitely-written frame registers, merged by intersection at control
@@ -43,12 +42,11 @@ Status VerifyProgram(const Program& program, size_t tuple_register_count,
 
   // Structural pass: operand bounds for every instruction, reachable or
   // not, and no instruction whose fall-through leaves the program. The
-  // operand-role model is shared with the dataflow framework
-  // (nvm_dataflow.h), so optimizer-introduced superinstructions are
-  // checked by the same table the passes justify themselves with.
+  // operand-role model is the one the listing and code generation read
+  // (nvm/program.h).
   for (size_t pc = 0; pc < code.size(); ++pc) {
     const Instruction& ins = code[pc];
-    NvmOperandRoles roles = NvmRolesOf(ins);
+    nvm::OperandRoles roles = nvm::RolesOf(ins);
     if (roles.writes_a && ins.a >= program.register_count) {
       return Malformed(program, pc,
                        "writes register r" + std::to_string(ins.a) +
@@ -67,11 +65,6 @@ Status VerifyProgram(const Program& program, size_t tuple_register_count,
     if (roles.const_b && ins.b >= program.constants.size()) {
       return Malformed(program, pc,
                        "constant index " + std::to_string(ins.b) +
-                           " out of range");
-    }
-    if (roles.const_c && ins.c >= program.constants.size()) {
-      return Malformed(program, pc,
-                       "constant index " + std::to_string(ins.c) +
                            " out of range");
     }
     if (roles.step_c) {
@@ -117,22 +110,10 @@ Status VerifyProgram(const Program& program, size_t tuple_register_count,
                        "jump target " + std::to_string(ins.b) +
                            " out of range");
     }
-    if (roles.jump_a && ins.a >= code.size()) {
+    if (roles.cmp_d &&
+        ins.d > static_cast<uint16_t>(runtime::CompareOp::kGe)) {
       return Malformed(program, pc,
-                       "jump target " + std::to_string(ins.a) +
-                           " out of range");
-    }
-    if (roles.cmp_d) {
-      const uint16_t op_bits =
-          roles.cmp_flag_d ? static_cast<uint16_t>(ins.d & 0xFF) : ins.d;
-      if (op_bits > static_cast<uint16_t>(runtime::CompareOp::kGe)) {
-        return Malformed(program, pc,
-                         "invalid comparison code " + std::to_string(op_bits));
-      }
-      if (roles.cmp_flag_d && ins.d > (nvm::kCmpFlagBit | 0xFF)) {
-        return Malformed(program, pc,
-                         "invalid comparison flags " + std::to_string(ins.d));
-      }
+                       "invalid comparison code " + std::to_string(ins.d));
     }
     bool falls_through = ins.op != OpCode::kHalt && ins.op != OpCode::kJump;
     if (falls_through && pc + 1 == code.size()) {
@@ -154,7 +135,7 @@ Status VerifyProgram(const Program& program, size_t tuple_register_count,
     size_t pc = worklist.front();
     worklist.pop_front();
     const Instruction& ins = code[pc];
-    NvmOperandRoles roles = NvmRolesOf(ins);
+    nvm::OperandRoles roles = nvm::RolesOf(ins);
     for (int i = 0; i < roles.read_count; ++i) {
       if (!in[pc][roles.read(ins, i)]) {
         return Malformed(program, pc,
@@ -166,7 +147,7 @@ Status VerifyProgram(const Program& program, size_t tuple_register_count,
     Defs out = in[pc];
     if (roles.writes_a) out[ins.a] = true;
 
-    NvmSuccessors(program, pc, &succs);
+    nvm::Successors(program, pc, &succs);
     for (size_t succ : succs) {
       if (!seen[succ]) {
         in[succ] = out;

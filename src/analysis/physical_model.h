@@ -204,7 +204,7 @@ struct PhysicalModel {
   runtime::RegisterId result_reg = 0;
   /// Size of the plan's nested-iterator table (bounds kEvalNested).
   size_t nested_count = 0;
-  /// Optimized subscript programs with their site labels.
+  /// Subscript programs with their site labels.
   std::vector<std::pair<std::string, nvm::Program>> programs;
 };
 

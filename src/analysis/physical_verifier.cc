@@ -341,7 +341,7 @@ Status VerifyLowered(const PhysicalModel& model) {
 StatusOr<std::string> VerifyPrepared(
     const translate::TranslationResult& translation,
     const Segmentation& segments, const PhysicalModel& lowered,
-    size_t annotated_operators, size_t nvm_rewrites) {
+    size_t annotated_operators) {
   NATIX_RETURN_IF_ERROR(VerifyLowered(lowered));
   NATIX_RETURN_IF_ERROR(VerifySegments(*translation.plan, segments));
   return "VERIFIED (logical: " +
@@ -351,9 +351,7 @@ StatusOr<std::string> VerifyPrepared(
          " subscript programs; properties: " +
          std::to_string(annotated_operators) + " operators annotated, " +
          std::to_string(translation.rewrites.size()) +
-         " property-justified rewrites; nvm optimizer: " +
-         std::to_string(nvm_rewrites) +
-         " bytecode rewrites; resources: pin-balanced, "
+         " property-justified rewrites; resources: pin-balanced, "
          "close-on-all-paths)";
 }
 

@@ -27,9 +27,8 @@ namespace natix::analysis {
 ///                          statically inferred stream properties
 ///                          (property_inference.h); after every rule,
 ///   Layer 3 (NVM)        — bytecode well-formedness of each compiled
-///                          subscript program; after every NVM optimizer
-///                          pass that changed it, and once after its last
-///                          change, in every build,
+///                          subscript program; once after code
+///                          generation emits it, in every build,
 ///   Layers 2 and 4       — register dataflow under the open/next
 ///                          protocol, and resource effects (page-pin
 ///                          balance, Tmp^cs/MemoX spool containment,
@@ -116,11 +115,11 @@ Status VerifyLowered(const PhysicalModel& model);
 /// verification is on: VerifyLowered over `lowered`, then the
 /// segmentation self-check of `segments` against the translated plan
 /// (VerifySegments). Returns the one-line verdict the template reports;
-/// `annotated_operators` and `nvm_rewrites` are quoted in it.
+/// `annotated_operators` is quoted in it.
 StatusOr<std::string> VerifyPrepared(
     const translate::TranslationResult& translation,
     const Segmentation& segments, const PhysicalModel& lowered,
-    size_t annotated_operators, size_t nvm_rewrites);
+    size_t annotated_operators);
 
 // ---------------------------------------------------------------------------
 // Layer 3: NVM subscript programs

@@ -18,7 +18,6 @@ std::string PlanCache::MakeKey(std::string_view xpath,
   key += options.memoize_inner_paths ? '1' : '0';
   key += options.split_expensive_predicates ? '1' : '0';
   key += options.simplify_plan ? '1' : '0';
-  key += options.optimize_nvm ? '1' : '0';
   key += options.limit_pushdown ? '1' : '0';
   // The result cap is a value, not a switch: plans baked with different
   // bounds must not alias in the cache.

@@ -1,6 +1,7 @@
 #ifndef NATIX_NVM_PROGRAM_H_
 #define NATIX_NVM_PROGRAM_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -59,27 +60,12 @@ enum class OpCode : uint8_t {
   // Nested iterator access (Sec. 5.2.3):
   kEvalNested,     // r[a] = aggregated result of nested plan #b
   kHalt,           // return r[a]
-  // Emitted only by the analysis-justified optimizer
-  // (src/analysis/nvm_optimizer.h), never by the assembler:
-  kMove,           // r[a] = r[b]
-  // Superinstruction fusing load_attr + load_const + compare. d bits 0-7
-  // encode the runtime::CompareOp; d bit 8 swaps the operand order
-  // (constant on the left).
-  kCmpAttrConst,   // r[a] = tuple[b] <cmp d&0xFF> consts[c]
-  // Superinstruction fusing compare + conditional jump. d bits 0-7
-  // encode the CompareOp; d bit 8 is the branch sense (1: jump when the
-  // comparison holds). The jump target lives in `a`.
-  kCmpBranch,      // if (r[b] <cmp d&0xFF> r[c]) == sense(d bit 8) pc = a
   // Single-step predicates navigated in place (Sec. 5.2.2) instead of a
   // nested plan: loop over the nodes of step steps[c] from the context
   // node tuple[b] (a non-node context has none).
   kStepExists,     // r[a] = some node of steps[c] passes (stops there)
   kStepCount       // r[a] = number of nodes of steps[c] that pass
 };
-
-/// Flag bit 8 of the d operand of kCmpAttrConst (operand swap) and
-/// kCmpBranch (branch sense).
-inline constexpr uint16_t kCmpFlagBit = 0x100;
 
 const char* OpCodeName(OpCode op);
 
@@ -118,9 +104,65 @@ struct Program {
   /// Number of NVM registers the program uses.
   uint16_t register_count = 0;
 
-  /// Disassembly for tests and plan explain output.
+  /// Symbolic listing with basic-block labels ("L<i>:"), labeled jump
+  /// targets, resolved constants/variables and comparison mnemonics
+  /// (natixq --dump-nvm).
   std::string Disassemble() const;
 };
+
+/// Operand roles of one instruction, derived from the VM's dispatch
+/// loop: which fields name frame registers (read/written), table
+/// indices, or jump targets. The Layer-3 verifier, code generation and
+/// the listing share this one model of the per-opcode field layout.
+struct OperandRoles {
+  using Field = uint16_t Instruction::*;
+  Field read_fields[3] = {nullptr, nullptr, nullptr};
+  int read_count = 0;
+  bool writes_a = false;
+  bool const_b = false;    // b indexes program.constants
+  bool var_b = false;      // b indexes program.variable_names
+  bool attr_b = false;     // b indexes the plan (tuple) register file
+  bool nested_b = false;   // b indexes the nested-iterator table
+  bool jump_b = false;     // b is a jump target
+  bool step_c = false;     // c indexes program.steps (step loops)
+  bool cmp_d = false;      // d encodes a runtime::CompareOp
+
+  uint16_t read(const Instruction& ins, int i) const {
+    return ins.*read_fields[i];
+  }
+};
+
+OperandRoles RolesOf(const Instruction& ins);
+
+/// Fall-through/branch successors of the instruction at `pc` (indices
+/// into program.code; kHalt has none).
+void Successors(const Program& program, size_t pc, std::vector<size_t>* out);
+
+/// Basic-block CFG: block leaders are the entry, every jump target, and
+/// every instruction after a (conditional) branch. The listing's labels
+/// and unreachable-block marks come from it.
+struct Cfg {
+  struct Block {
+    size_t begin = 0;  ///< first pc of the block
+    size_t end = 0;    ///< one past the last pc
+    std::vector<size_t> succs;  ///< successor block indices
+    std::vector<size_t> preds;  ///< predecessor block indices
+    bool reachable = false;     ///< reachable from the entry block
+  };
+  std::vector<Block> blocks;
+  /// pc -> index of the containing block.
+  std::vector<size_t> block_of;
+
+  static Cfg Build(const Program& program);
+
+  /// "L<i>" when `pc` starts a block, "" otherwise.
+  std::string LabelAt(size_t pc) const;
+  bool Reachable(size_t pc) const { return blocks[block_of[pc]].reachable; }
+};
+
+/// Symbolic rendering of one instruction, as in the listing but with
+/// numeric jump targets ("-> @<pc>"): the Layer-3 verifier diagnostics.
+std::string RenderInstruction(const Program& program, size_t pc);
 
 }  // namespace natix::nvm
 

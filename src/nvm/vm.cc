@@ -364,32 +364,6 @@ StatusOr<Value> Vm::Run(
         r[ins.a] = std::move(v);
         break;
       }
-      case OpCode::kMove:
-        r[ins.a] = r[ins.b];
-        break;
-      case OpCode::kCmpAttrConst: {
-        const bool swapped = (ins.d & kCmpFlagBit) != 0;
-        const auto op = static_cast<runtime::CompareOp>(ins.d & 0xFF);
-        const Value& attr = tuple[ins.b];
-        const Value& constant = program_->constants[ins.c];
-        NATIX_ASSIGN_OR_RETURN(
-            bool out, swapped
-                          ? runtime::CompareAtomic(op, constant, attr, ctx)
-                          : runtime::CompareAtomic(op, attr, constant, ctx));
-        r[ins.a] = Value::Boolean(out);
-        break;
-      }
-      case OpCode::kCmpBranch: {
-        const bool sense = (ins.d & kCmpFlagBit) != 0;
-        const auto op = static_cast<runtime::CompareOp>(ins.d & 0xFF);
-        NATIX_ASSIGN_OR_RETURN(
-            bool out, runtime::CompareAtomic(op, r[ins.b], r[ins.c], ctx));
-        if (out == sense) {
-          pc = ins.a;
-          continue;
-        }
-        break;
-      }
       case OpCode::kStepExists:
       case OpCode::kStepCount: {
         const bool exists = ins.op == OpCode::kStepExists;

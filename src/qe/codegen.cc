@@ -4,8 +4,6 @@
 #include <utility>
 
 #include "algebra/properties.h"
-#include "analysis/nvm_dataflow.h"
-#include "analysis/nvm_optimizer.h"
 #include "analysis/plan_verifier.h"
 #include "analysis/property_inference.h"
 #include "nvm/assembler.h"
@@ -193,7 +191,7 @@ class PhysicalPrinter {
 /// plan into its physical plan (analysis::PhysicalModel), once, at
 /// Prepare: the attribute manager assigns registers, node-test names are
 /// resolved against the store's dictionary, every subscript is compiled
-/// to NVM code, optimized and verified (Layer 3), and the result is
+/// to NVM code and verified (Layer 3), and the result is
 /// rendered and, if the template is verified, verified (Layers 2 and 4).
 /// Every execution context is later built from the lowered plan alone.
 class CodegenImpl {
@@ -246,8 +244,6 @@ class CodegenImpl {
         "registers: " + std::to_string(next_register_) + ", nested plans: " +
         std::to_string(nested_count_) + "\n" +
         PhysicalPrinter(attribute_map_).Render(*translation.plan);
-    tmpl_.rewrites_.insert(tmpl_.rewrites_.end(), nvm_rewrites_.begin(),
-                           nvm_rewrites_.end());
 
     obs::ScopedSpan verify_span("compile/verify",
                                 tmpl_.verified_ ? "lowered plan" : "skipped");
@@ -259,7 +255,7 @@ class CodegenImpl {
     NATIX_ASSIGN_OR_RETURN(
         tmpl_.verification_,
         analysis::VerifyPrepared(translation, tmpl_.segmentation_, model_,
-                                 props_.size(), nvm_rewrites_.size()));
+                                 props_.size()));
     return Status::OK();
   }
 
@@ -331,30 +327,22 @@ class CodegenImpl {
     NATIX_ASSIGN_OR_RETURN(
         nvm::Program program,
         nvm::CompileScalar(scalar, resolver, resolve_test, registrar));
-    tmpl_.nvm_listing_before_ += "== " + host->label + " ==\n" +
-                                 analysis::RenderNvmProgram(program);
-    tmpl_.nvm_insns_before_ += program.code.size();
-    if (tmpl_.translation_.optimize_nvm) {
-      NATIX_RETURN_IF_ERROR(analysis::OptimizeNvmProgram(
-          &program, host->label, next_register_, nested_count_,
-          &nvm_rewrites_));
-    }
-    // Layer 3, once, after the program's last change, under the bounds
-    // in force here: the registers and nested plans bound so far.
+    // Layer 3, once, under the bounds in force here: the registers and
+    // nested plans bound so far.
     if (Status st = analysis::VerifyProgram(program, next_register_,
                                             nested_count_);
         !st.ok()) {
       return Status::Internal(st.message() + " (subscript of " +
                               host->label + ")");
     }
-    tmpl_.nvm_listing_after_ += "== " + host->label + " ==\n" +
-                                analysis::RenderNvmProgram(program);
-    tmpl_.nvm_insns_after_ += program.code.size();
+    tmpl_.nvm_listing_ +=
+        "== " + host->label + " ==\n" + program.Disassemble();
+    tmpl_.nvm_insns_ += program.code.size();
     // The program's tuple-register operands are exactly the plan
-    // registers the subscript reads per tuple (kLoadAttr, and the fused
-    // kCmpAttrConst and the step loops read theirs directly).
+    // registers the subscript reads per tuple (kLoadAttr, and the step
+    // loops read theirs directly).
     for (const nvm::Instruction& ins : program.code) {
-      if (analysis::NvmRolesOf(ins).attr_b) host->reads.push_back(ins.b);
+      if (nvm::RolesOf(ins).attr_b) host->reads.push_back(ins.b);
     }
     host->program = model_.programs.size();
     model_.programs.emplace_back(host->label, std::move(program));
@@ -782,7 +770,6 @@ class CodegenImpl {
   std::unordered_map<std::string, RegisterId> attribute_map_;
   RegisterId next_register_ = 0;
   size_t nested_count_ = 0;
-  algebra::RewriteLog nvm_rewrites_;
 };
 
 }  // namespace internal
@@ -807,7 +794,6 @@ StatusOr<std::unique_ptr<PlanTemplate>> Codegen::Prepare(
       analysis::AnnotatePlan(*translation.plan);
   tmpl->logical_plan_ = translation.plan->ToString();
   tmpl->properties_plan_ = analysis::RenderAnnotatedPlan(*translation.plan);
-  tmpl->rewrites_ = translation.rewrites;
 
   // Fusability segmentation (Layer 4): maximal non-materializing,
   // effect-free pipeline segments with their boundaries — the NVM

@@ -33,8 +33,8 @@ class Codegen;
 /// dictionary at Prepare; nothing here is mutated by execution.
 ///
 /// Codegen::Prepare lowers the plan exactly once: it fixes the register
-/// assignment, resolves attribute and node-test names, compiles,
-/// optimizes and verifies every subscript (Layer 3), and, under
+/// assignment, resolves attribute and node-test names, compiles and
+/// verifies every subscript (Layer 3), and, under
 /// verification, verifies the lowered plan (Layers 2 and 4). Each
 /// execution then instantiates a fresh ExecutionContext by walking the
 /// lowered plan and allocating one iterator per node over a private
@@ -63,7 +63,7 @@ class PlanTemplate {
 
   /// The physical iterator tree with its register assignments, aliases
   /// marked (the NQE execution plan). The NVM subscript listings are
-  /// nvm_listing_before() / nvm_listing_after().
+  /// nvm_listing().
   const std::string& physical_plan() const { return physical_plan_; }
 
   /// One-line verdict of the static plan verifier: "VERIFIED (...)" when
@@ -93,23 +93,19 @@ class PlanTemplate {
   /// Human-readable segment listing (natixq --explain).
   const std::string& segments_text() const { return segments_text_; }
 
-  /// The property-justified rewrites applied during translation plus the
-  /// analysis-justified NVM bytecode rewrites ("nvm:<pass>" rules), each
-  /// with the inferred property or dataflow fact that proved it sound.
-  const algebra::RewriteLog& rewrites() const { return rewrites_; }
-
-  /// Symbolic disassembly of every compiled NVM subscript program before
-  /// and after the bytecode optimizer (identical when optimize_nvm is
-  /// off). Shown by natixq --dump-nvm.
-  const std::string& nvm_listing_before() const {
-    return nvm_listing_before_;
+  /// The property-justified rewrites applied during translation, each
+  /// with the inferred property that proved it sound.
+  const algebra::RewriteLog& rewrites() const {
+    return translation_.rewrites;
   }
-  const std::string& nvm_listing_after() const { return nvm_listing_after_; }
 
-  /// Static instruction totals across all subscript programs, before and
-  /// after the bytecode optimizer.
-  size_t nvm_insns_before() const { return nvm_insns_before_; }
-  size_t nvm_insns_after() const { return nvm_insns_after_; }
+  /// Symbolic disassembly of every compiled NVM subscript program, as
+  /// code generation emitted and the VM runs it. Shown by natixq
+  /// --dump-nvm.
+  const std::string& nvm_listing() const { return nvm_listing_; }
+
+  /// Static instruction total across all subscript programs.
+  size_t nvm_insns() const { return nvm_insns_; }
 
   /// Whether the result stream is statically guaranteed to arrive in
   /// (non-strict) document order, making the final result sort
@@ -139,12 +135,9 @@ class PlanTemplate {
   std::string properties_json_;
   analysis::Segmentation segmentation_;
   std::string segments_text_;
-  algebra::RewriteLog rewrites_;
   bool result_document_ordered_ = false;
-  std::string nvm_listing_before_;
-  std::string nvm_listing_after_;
-  size_t nvm_insns_before_ = 0;
-  size_t nvm_insns_after_ = 0;
+  std::string nvm_listing_;
+  size_t nvm_insns_ = 0;
 };
 
 /// Sorts node references into document order (ascending order keys).

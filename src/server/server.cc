@@ -399,7 +399,9 @@ HttpResponse Server::HandleQuery(const HttpRequest& request) {
   metrics.requests_in_flight.Add();
 
   // Prepare (plan cache keyed on text + options, so each distinct limit
-  // is its own plan) and execute under the request's deadline.
+  // is its own plan) and execute under the request's deadline, which
+  // also bounds the compile: a request whose plan took past it to
+  // prepare is answered without executing.
   translate::TranslatorOptions topts;
   topts.result_limit = limit;
   const uint64_t begin_ns = MonotonicNanos();
@@ -411,6 +413,13 @@ HttpResponse Server::HandleQuery(const HttpRequest& request) {
     if (!prepared.ok()) {
       return ErrorResponse(HttpStatusFor(prepared.status()), id,
                            prepared.status());
+    }
+    if (deadline_ns != 0 && MonotonicNanos() >= deadline_ns) {
+      // Like a queued expiry, no execution starts for the API to count.
+      metrics.deadline_exceeded.Add();
+      return ErrorResponse(
+          504, id,
+          Status::DeadlineExceeded("deadline expired while compiling"));
     }
     StatusOr<std::unique_ptr<PreparedQuery::Execution>> execution =
         (*prepared)->NewExecution(options_.collect_stats);

@@ -741,7 +741,6 @@ StatusOr<TranslationResult> Translate(const xpath::Expr& root,
   obs::ScopedSpan span("compile/translate");
   TranslatorImpl impl(options);
   NATIX_ASSIGN_OR_RETURN(TranslationResult result, impl.Run(root));
-  result.optimize_nvm = options.optimize_nvm;
   // Layer-1 verification directly after translation, so a translator bug
   // is reported before rewrites can obscure it.
   if (verify) {

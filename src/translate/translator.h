@@ -30,11 +30,6 @@ struct TranslatorOptions {
   /// as future work): infer duplicate-freeness and drop redundant
   /// duplicate eliminations; also fold away constant-true selections.
   bool simplify_plan = true;
-  /// Run the analysis-justified NVM bytecode optimizer over every
-  /// compiled subscript program (docs/NVM-ANALYSIS.md). Off is the
-  /// ablation baseline in bench/. Orthogonal to the plan-level switches,
-  /// so Canonical() leaves it on.
-  bool optimize_nvm = true;
   /// Positional early exit (docs/LIMIT-PUSHDOWN.md): rewrite
   /// position() = k / < k / <= k predicates (including the numeric
   /// literal form [3]) into a Limit operator pushed down to the
@@ -67,9 +62,6 @@ struct TranslationResult {
   /// the inferred property that proved it sound (empty when the
   /// simplifying rewriter is off).
   algebra::RewriteLog rewrites;
-  /// Forwarded from TranslatorOptions::optimize_nvm so codegen knows
-  /// whether to run the NVM bytecode optimizer over subscripts.
-  bool optimize_nvm = true;
 };
 
 /// Reserved attribute names bound by the execution context before the

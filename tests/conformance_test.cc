@@ -323,7 +323,7 @@ TEST(StepLoopConformanceTest, ValuePredicatesMatchTheInterpreter) {
     auto compiled = (*db)->Compile(query);
     ASSERT_TRUE(compiled.ok()) << query;
     const std::string& listing =
-        (*compiled)->prepared().plan().nvm_listing_after();
+        (*compiled)->prepared().plan().nvm_listing();
     EXPECT_NE(listing.find("step_"), std::string::npos) << query;
     EXPECT_EQ(listing.find("eval_nested"), std::string::npos) << query;
   }

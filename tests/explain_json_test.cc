@@ -268,15 +268,14 @@ TEST(ExplainJsonGoldenTest, Fig6JsonCarriesDescendantClaims) {
 }
 
 // Byte-exact goldens for the plain plan renderings: ExplainLogical(),
-// ExplainPhysical() and the NVM subscript listings natixq --dump-nvm
-// prints before/after the bytecode optimizer. Any change to how or when
-// these strings are rendered must keep them byte-identical.
+// ExplainPhysical() and the NVM subscript listing natixq --dump-nvm
+// prints. Any change to how or when these strings are rendered must
+// keep them byte-identical.
 struct PlanGoldens {
   std::string logical;
   std::string physical;
-  /// The natixq --dump-nvm=before / --dump-nvm=after listings.
-  std::string nvm_before;
-  std::string nvm_after;
+  /// The natixq --dump-nvm listing.
+  std::string nvm;
 };
 
 void ExpectPlanGoldens(const std::string& xml, const std::string& query,
@@ -285,12 +284,9 @@ void ExpectPlanGoldens(const std::string& xml, const std::string& query,
   const qe::PlanTemplate& plan = q->plan();
   EXPECT_EQ(q->ExplainLogical(), golden.logical);
   EXPECT_EQ(q->ExplainPhysical(), golden.physical);
-  EXPECT_EQ("=== nvm before (" + std::to_string(plan.nvm_insns_before()) +
-                " instructions) ===\n" + plan.nvm_listing_before(),
-            golden.nvm_before);
-  EXPECT_EQ("=== nvm after (" + std::to_string(plan.nvm_insns_after()) +
-                " instructions) ===\n" + plan.nvm_listing_after(),
-            golden.nvm_after);
+  EXPECT_EQ("=== nvm (" + std::to_string(plan.nvm_insns()) +
+                " instructions) ===\n" + plan.nvm_listing(),
+            golden.nvm);
 }
 
 TEST(ExplainPlanGoldenTest, Fig6Query1) {
@@ -316,14 +312,7 @@ UnnestMap[c6@r8 := c5@r7/attribute::id]
               Map[c1@r3 := root*(cn)]
                 SingletonScan
 )golden",
-                     "=== nvm before (3 instructions) ===\n"
-                     R"golden(== Map[c1@r3] ==
-L0:
-  0: load_attr r0, t0
-  1: root r1, r0
-  2: halt r1
-)golden",
-                     "=== nvm after (3 instructions) ===\n"
+                     "=== nvm (3 instructions) ===\n"
                      R"golden(== Map[c1@r3] ==
 L0:
   0: load_attr r0, t0
@@ -355,14 +344,7 @@ UnnestMap[c6@r8 := c5@r7/attribute::id]
               Map[c1@r3 := root*(cn)]
                 SingletonScan
 )golden",
-                     "=== nvm before (3 instructions) ===\n"
-                     R"golden(== Map[c1@r3] ==
-L0:
-  0: load_attr r0, t0
-  1: root r1, r0
-  2: halt r1
-)golden",
-                     "=== nvm after (3 instructions) ===\n"
+                     "=== nvm (3 instructions) ===\n"
                      R"golden(== Map[c1@r3] ==
 L0:
   0: load_attr r0, t0
@@ -394,14 +376,7 @@ UnnestMap[c6@r8 := c5@r7/attribute::id]
               Map[c1@r3 := root*(cn)]
                 SingletonScan
 )golden",
-                     "=== nvm before (3 instructions) ===\n"
-                     R"golden(== Map[c1@r3] ==
-L0:
-  0: load_attr r0, t0
-  1: root r1, r0
-  2: halt r1
-)golden",
-                     "=== nvm after (3 instructions) ===\n"
+                     "=== nvm (3 instructions) ===\n"
                      R"golden(== Map[c1@r3] ==
 L0:
   0: load_attr r0, t0
@@ -433,14 +408,7 @@ UnnestMap[c6@r8 := c5@r7/attribute::id]
               Map[c1@r3 := root*(cn)]
                 SingletonScan
 )golden",
-                     "=== nvm before (3 instructions) ===\n"
-                     R"golden(== Map[c1@r3] ==
-L0:
-  0: load_attr r0, t0
-  1: root r1, r0
-  2: halt r1
-)golden",
-                     "=== nvm after (3 instructions) ===\n"
+                     "=== nvm (3 instructions) ===\n"
                      R"golden(== Map[c1@r3] ==
 L0:
   0: load_attr r0, t0
@@ -470,7 +438,7 @@ UnnestMap[c6@r7 := c3@r5/child::title]
             Map[c1@r3 := root*(cn)]
               SingletonScan
 )golden",
-                     "=== nvm before (7 instructions) ===\n"
+                     "=== nvm (7 instructions) ===\n"
                      R"golden(== Map[c1@r3] ==
 L0:
   0: load_attr r0, t0
@@ -482,17 +450,6 @@ L0:
   1: load_const r1, 1
   2: compare r2, r0 = r1
   3: halt r2
-)golden",
-                     "=== nvm after (5 instructions) ===\n"
-                     R"golden(== Map[c1@r3] ==
-L0:
-  0: load_attr r0, t0
-  1: root r1, r0
-  2: halt r1
-== Select ==
-L0:
-  0: cmp_attr_const r2, t6 = 1
-  1: halt r2
 )golden"});
 }
 

@@ -1,17 +1,14 @@
-// Differential NVM-optimizer fuzzing (NATIX_FUZZ_DIFF_NVM): random
-// scalar-heavy XPath queries over random documents, each compiled twice
-// — with the bytecode optimizer on (the default) and off — and executed
-// with plan verification enabled, so every optimized program has also
-// passed the Layer-3 re-verification after each pass. The two plans
-// must agree with each other, and node results must agree with the
-// src/interp oracle; an unsound fold, fusion, or dead-store removal
-// shows up as a divergence.
+// Differential NVM fuzzing (NATIX_FUZZ_DIFF_NVM): random scalar-heavy
+// XPath queries over random documents, each compiled with plan
+// verification enabled (so every subscript program has passed Layer 3)
+// and executed by the algebraic engine. Node-set and scalar results must
+// agree with the src/interp oracle; a miscompiled subscript shows up as
+// a divergence.
 //
-// The query generator is biased toward what the optimizer acts on:
-// comparisons of attributes against literals (cmp_attr_const fusion),
-// constant arithmetic and string subexpressions (const-fold), chained
-// conversions (conversion-elim), and short-circuit logicals (jump
-// threading over the assembler's branch scaffolding).
+// The query generator is biased toward what the assembler emits
+// subscript code for: comparisons of attributes against literals,
+// constant arithmetic and string subexpressions, chained conversions,
+// and short-circuit logicals (the assembler's branch scaffolding).
 //
 // NATIX_FUZZ_DIFF_NVM re-rolls the corpus: its value offsets every
 // generated seed (unset or 0: the fixed CI corpus).
@@ -105,16 +102,16 @@ class NvmQueryGen {
     }
   }
 
-  /// Predicates shaped for the peephole and const-fold passes.
+  /// Predicates over the compare, constant and branch code paths.
   std::string Predicate() {
     std::string cmp = Pick({"=", "!=", "<", "<=", ">", ">="});
     switch (Int(10)) {
-      case 0:  // attr-vs-literal, both orientations: cmp_attr_const
+      case 0:  // attr-vs-literal, both orientations
       case 1:
         return Attr() + " " + cmp + " " + Literal();
       case 2:
         return Literal() + " " + cmp + " " + Attr();
-      case 3:  // constant condition: jump threading kills a branch arm
+      case 3:  // constant condition
         return Scalar(1) + " " + cmp + " " + Scalar(1);
       case 4:
         return "not(" + Attr() + " " + cmp + " " + Literal() + ")";
@@ -190,13 +187,13 @@ std::string RandomDocument(uint32_t seed) {
 }
 
 /// Evaluates through the algebraic engine, rendering node results as an
-/// ordered list of document-order keys and scalars via string().
+/// ordered list of document-order keys. Scalars render via string(), or
+/// with `typed` by kind, as conformance_test.cc's RenderInterp renders
+/// the interpreter's.
 StatusOr<std::string> RunAlgebraic(Database* db, storage::NodeId root,
                                    const std::string& query,
-                                   bool optimize_nvm) {
-  translate::TranslatorOptions options;
-  options.optimize_nvm = optimize_nvm;
-  NATIX_ASSIGN_OR_RETURN(auto compiled, db->Compile(query, options));
+                                   bool typed = false) {
+  NATIX_ASSIGN_OR_RETURN(auto compiled, db->Compile(query));
   if (compiled->prepared().result_type() == xpath::ExprType::kNodeSet) {
     NATIX_ASSIGN_OR_RETURN(std::vector<storage::StoredNode> nodes,
                            compiled->EvaluateNodes(root));
@@ -207,13 +204,45 @@ StatusOr<std::string> RunAlgebraic(Database* db, storage::NodeId root,
     }
     return out;
   }
-  NATIX_ASSIGN_OR_RETURN(std::string value, compiled->EvaluateString(root));
-  return "str: " + value;
+  if (!typed) {
+    NATIX_ASSIGN_OR_RETURN(std::string value,
+                           compiled->EvaluateString(root));
+    return "str: " + value;
+  }
+  NATIX_ASSIGN_OR_RETURN(runtime::Value value, compiled->EvaluateValue(root));
+  switch (value.kind()) {
+    case runtime::ValueKind::kBoolean:
+      return std::string(value.AsBoolean() ? "bool: true" : "bool: false");
+    case runtime::ValueKind::kNumber:
+      return "num: " + XPathNumberToString(value.AsNumber());
+    default:
+      return "str: " + value.AsString();
+  }
+}
+
+/// The interpreter's result rendered like RunAlgebraic's typed form.
+std::string RenderInterp(const interp::Object& v) {
+  switch (v.kind) {
+    case interp::Object::Kind::kNodeSet: {
+      std::string out = "nodes:";
+      for (const dom::Node* n : v.nodes) {
+        out += " " + std::to_string(n->order);
+      }
+      return out;
+    }
+    case interp::Object::Kind::kBoolean:
+      return v.boolean ? "bool: true" : "bool: false";
+    case interp::Object::Kind::kNumber:
+      return "num: " + XPathNumberToString(v.number);
+    case interp::Object::Kind::kString:
+      return "str: " + v.string;
+  }
+  return "?";
 }
 
 class FuzzDiffNvmTest : public ::testing::TestWithParam<uint32_t> {};
 
-TEST_P(FuzzDiffNvmTest, OptimizedProgramsAgreeWithBaseline) {
+TEST_P(FuzzDiffNvmTest, ProgramsAgreeWithInterpreter) {
   uint32_t seed = GetParam() + BaseSeed();
   SCOPED_TRACE(::testing::Message()
                << "effective seed " << seed
@@ -230,38 +259,18 @@ TEST_P(FuzzDiffNvmTest, OptimizedProgramsAgreeWithBaseline) {
   NvmQueryGen gen(seed);
   for (int i = 0; i < 80; ++i) {
     std::string query = gen.TopLevel();
-
-    auto optimized = RunAlgebraic(db->get(), info->root, query,
-                                  /*optimize_nvm=*/true);
-    ASSERT_TRUE(optimized.ok())
-        << query << ": " << optimized.status().ToString()
+    auto actual = RunAlgebraic(db->get(), info->root, query,
+                               /*typed=*/true);
+    ASSERT_TRUE(actual.ok())
+        << query << ": " << actual.status().ToString()
         << "\ndocument: " << xml;
-    auto baseline = RunAlgebraic(db->get(), info->root, query,
-                                 /*optimize_nvm=*/false);
-    ASSERT_TRUE(baseline.ok())
-        << query << ": " << baseline.status().ToString();
-    ASSERT_EQ(*optimized, *baseline)
-        << "nvm optimizer diverges on " << query << "\ndocument: " << xml;
-
-    // Cross-check node results against the interpreter oracle (string
-    // results go through different conversion paths; the plan-vs-plan
-    // check above already covers them).
-    if (optimized->rfind("nodes:", 0) == 0) {
-      interp::EvaluatorOptions oracle_options;
-      auto oracle = interp::Evaluator::Run(dom_doc->get(), query,
-                                           (*dom_doc)->root(),
-                                           oracle_options);
-      ASSERT_TRUE(oracle.ok()) << query;
-      if (oracle->kind == interp::Object::Kind::kNodeSet) {
-        std::string expected = "nodes:";
-        for (const dom::Node* n : oracle->nodes) {
-          expected += " " + std::to_string(n->order);
-        }
-        ASSERT_EQ(*optimized, expected)
-            << "interp oracle diverges on " << query
-            << "\ndocument: " << xml;
-      }
-    }
+    interp::EvaluatorOptions oracle_options;
+    auto oracle = interp::Evaluator::Run(dom_doc->get(), query,
+                                         (*dom_doc)->root(), oracle_options);
+    ASSERT_TRUE(oracle.ok()) << query;
+    ASSERT_EQ(*actual, RenderInterp(*oracle))
+        << "engine diverges from the interpreter on " << query
+        << "\ndocument: " << xml;
   }
 }
 
@@ -374,8 +383,7 @@ TEST_P(FuzzDiffNvmTest, StepLoopsAgreeWithInterpreter) {
   StepLoopQueryGen gen(seed);
   for (int i = 0; i < 60; ++i) {
     std::string query = gen.Query();
-    auto actual = RunAlgebraic(db->get(), info->root, query,
-                               /*optimize_nvm=*/true);
+    auto actual = RunAlgebraic(db->get(), info->root, query);
     ASSERT_TRUE(actual.ok())
         << query << ": " << actual.status().ToString();
     interp::EvaluatorOptions oracle_options;

@@ -1,14 +1,12 @@
 // NVM unit tests: scalar expressions are compiled through the assembler
 // and executed by the VM directly, without the surrounding iterator
-// machinery.
+// machinery; hand-built programs pin the block CFG and the listing.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "algebra/operator.h"
-#include "algebra/rewriter.h"
-#include "analysis/nvm_optimizer.h"
 #include "analysis/plan_verifier.h"
 #include "nvm/assembler.h"
 #include "nvm/vm.h"
@@ -336,8 +334,8 @@ TEST(NvmTest, NodeNavigation) {
 // The assembler patches forward-jump placeholders after emission; these
 // pin the edge cases of that fixup: a target that lands exactly on the
 // last instruction, an empty-body self-loop, and a backward branch. All
-// three must satisfy the Layer-3 verifier and survive the bytecode
-// optimizer (whose jump-chain chasing must not spin on a self-loop).
+// three must satisfy the Layer-3 verifier, whose dataflow worklist (like
+// the listing's CFG) must not spin on a cycle.
 
 TEST(NvmJumpFixupTest, ShortCircuitTargetsStayInRange) {
   // Short-circuit or: the taken edge jumps over the rhs evaluation,
@@ -387,28 +385,19 @@ TEST(NvmJumpFixupTest, JumpToLastInstructionIsValid) {
   EXPECT_NE(status.message().find("out of range"), std::string::npos);
 }
 
-TEST(NvmJumpFixupTest, EmptyBodySelfLoopVerifiesAndOptimizerTerminates) {
+TEST(NvmJumpFixupTest, EmptyBodySelfLoopVerifiesAndLists) {
   // `0: jump 0` — an empty-body loop. Structurally legal (it cannot
-  // fall off the end); both the verifier's dataflow worklist and the
-  // optimizer's jump-chain chasing must terminate on the cycle.
+  // fall off the end); the verifier's dataflow worklist and the
+  // listing's CFG must both terminate on the cycle.
   Program program;
   program.code = {Instruction{OpCode::kJump, 0, 0, 0, 0},
                   Instruction{OpCode::kHalt, 0, 0, 0, 0}};
   program.register_count = 1;
   EXPECT_TRUE(analysis::VerifyProgram(program, 0, 0).ok());
-
-  algebra::RewriteLog log;
-  ASSERT_TRUE(
-      analysis::OptimizeNvmProgram(&program, "test", 0, 0, &log).ok());
-  // Whatever the passes did (the unreachable halt may be dropped), the
-  // result must still verify and still loop on pc 0.
-  EXPECT_TRUE(analysis::VerifyProgram(program, 0, 0).ok());
-  ASSERT_FALSE(program.code.empty());
-  EXPECT_EQ(program.code[0].op, OpCode::kJump);
-  EXPECT_EQ(program.code[0].b, 0);
+  EXPECT_NE(program.Disassemble().find("0: jump -> L0"), std::string::npos);
 }
 
-TEST(NvmJumpFixupTest, BackwardBranchVerifiesAndOptimizes) {
+TEST(NvmJumpFixupTest, BackwardBranchVerifiesAndRuns) {
   Program program;
   program.code = {Instruction{OpCode::kLoadConst, 0, 0, 0, 0},
                   Instruction{OpCode::kJumpIfTrue, 0, 0, 0, 0},
@@ -417,10 +406,6 @@ TEST(NvmJumpFixupTest, BackwardBranchVerifiesAndOptimizes) {
   program.constants = {Value::Boolean(false)};
   EXPECT_TRUE(analysis::VerifyProgram(program, 0, 0).ok());
 
-  algebra::RewriteLog log;
-  ASSERT_TRUE(
-      analysis::OptimizeNvmProgram(&program, "test", 0, 0, &log).ok());
-  EXPECT_TRUE(analysis::VerifyProgram(program, 0, 0).ok());
   auto result = Vm(&program).Run(
       runtime::RegisterFile(0), runtime::EvalContext{}, {},
       [](size_t) -> StatusOr<Value> {
@@ -446,6 +431,68 @@ TEST(NvmTest, DisassemblerIsReadable) {
   EXPECT_NE(text.find("load_attr"), std::string::npos);
   EXPECT_NE(text.find("add"), std::string::npos);
   EXPECT_NE(text.find("halt"), std::string::npos);
+}
+
+// --- CFG and listing -------------------------------------------------------
+
+Instruction Ins(OpCode op, uint16_t a = 0, uint16_t b = 0, uint16_t c = 0,
+                uint16_t d = 0) {
+  return Instruction{op, a, b, c, d};
+}
+
+Program MakeProgram(std::vector<Instruction> code, uint16_t register_count,
+                    std::vector<Value> constants = {}) {
+  Program program;
+  program.code = std::move(code);
+  program.register_count = register_count;
+  program.constants = std::move(constants);
+  return program;
+}
+
+TEST(NvmCfgTest, BlocksLabelsAndReachability) {
+  // if (c0) r1 = c1 else r1 = c0 — a diamond of four blocks.
+  auto p = MakeProgram(
+      {Ins(OpCode::kLoadConst, 0, 0), Ins(OpCode::kJumpIfTrue, 0, 4),
+       Ins(OpCode::kLoadConst, 1, 0), Ins(OpCode::kJump, 0, 5),
+       Ins(OpCode::kLoadConst, 1, 1), Ins(OpCode::kHalt, 1)},
+      2, {Value::Boolean(true), Value::Number(7)});
+  Cfg cfg = Cfg::Build(p);
+  ASSERT_EQ(cfg.blocks.size(), 4u);
+  EXPECT_EQ(cfg.block_of[0], cfg.block_of[1]);  // 0-1 share a block
+  EXPECT_NE(cfg.block_of[1], cfg.block_of[2]);
+  EXPECT_EQ(cfg.LabelAt(0), "L0");
+  EXPECT_EQ(cfg.LabelAt(1), "");  // not a leader
+  EXPECT_EQ(cfg.LabelAt(4), "L2");
+  for (size_t pc = 0; pc < p.code.size(); ++pc) {
+    EXPECT_TRUE(cfg.Reachable(pc)) << "pc " << pc;
+  }
+  // The entry block branches to both arms; both arms flow into the exit.
+  const Cfg::Block& entry = cfg.blocks[cfg.block_of[0]];
+  ASSERT_EQ(entry.succs.size(), 2u);
+  const Cfg::Block& exit = cfg.blocks[cfg.block_of[5]];
+  EXPECT_EQ(exit.preds.size(), 2u);
+}
+
+TEST(NvmCfgTest, MarksUnreachableBlocks) {
+  auto p = MakeProgram(
+      {Ins(OpCode::kLoadConst, 0, 0), Ins(OpCode::kJump, 0, 3),
+       Ins(OpCode::kLoadConst, 0, 0), Ins(OpCode::kHalt, 0)},
+      1, {Value::Number(1)});
+  Cfg cfg = Cfg::Build(p);
+  EXPECT_TRUE(cfg.Reachable(0));
+  EXPECT_FALSE(cfg.Reachable(2));
+  EXPECT_TRUE(cfg.Reachable(3));
+}
+
+TEST(NvmRenderTest, ListingCarriesLabelsAndOperands) {
+  auto p = MakeProgram(
+      {Ins(OpCode::kLoadConst, 0, 0), Ins(OpCode::kJumpIfTrue, 0, 2),
+       Ins(OpCode::kHalt, 0)},
+      1, {Value::Boolean(true)});
+  std::string listing = p.Disassemble();
+  EXPECT_NE(listing.find("L0:"), std::string::npos);
+  EXPECT_NE(listing.find("jump_if_true r0 -> L1"), std::string::npos);
+  EXPECT_NE(listing.find("load_const r0, true"), std::string::npos);
 }
 
 }  // namespace

@@ -114,7 +114,7 @@ TEST(ObsStatsTest, StepLoopStopsAtFirstMatch) {
   ASSERT_TRUE(loop->EvaluateNumber(f.root).ok());
   EXPECT_EQ(loop->Stats()->FindOp("NestedAgg[exists]"), nullptr)
       << loop->Stats()->RenderAnalyze();
-  EXPECT_NE(loop->prepared().plan().nvm_listing_after().find("step_exists"),
+  EXPECT_NE(loop->prepared().plan().nvm_listing().find("step_exists"),
             std::string::npos);
 }
 

@@ -62,6 +62,7 @@ std::unique_ptr<ServerFixture> MakeFixture() {
   EXPECT_TRUE(xdoc.ok()) << xdoc.status().ToString();
   f->xdoc_root = xdoc->root;
 
+
   f->server = std::make_unique<server::Server>(f->db.get(),
                                                server::ServerOptions());
   Status started = f->server->Start();
@@ -271,6 +272,36 @@ TEST(ServerTest, DeadlineExceededRequestGets504) {
       << response->body;
 #if !defined(NATIX_OBS_DISABLED)
   EXPECT_GT(metrics.deadline_exceeded.value(), deadline_before);
+#endif
+}
+
+// The deadline bounds the compile too: a predicate chain at the parser's
+// bounds takes several milliseconds to prepare (about 5 ms in a release
+// build), so a 1 ms budget is spent before execution could start, on a
+// document where executing would cost next to nothing.
+TEST(ServerTest, DeadlineCoversCompileTime) {
+  std::string chain = "//a[@x = 1";
+  for (int i = 2; i <= 125; ++i) chain += " or @x = " + std::to_string(i);
+  chain += "]";
+  ASSERT_GT(chain.size(), 1000u);
+  auto one = Fixture().db->LoadDocument("one", "<a/>");
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+#if !defined(NATIX_OBS_DISABLED)
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  const uint64_t deadline_before = metrics.deadline_exceeded.value();
+  const uint64_t executed_before = metrics.queries_executed.value();
+#endif
+  server::HttpClient client(Fixture().server->port());
+  auto response =
+      client.Get(QueryTarget("one", chain, "&deadline_ms=1&mode=count"));
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->status, 504) << response->body.substr(0, 200);
+  EXPECT_NE(response->body.find("\"code\":\"DeadlineExceeded\""),
+            std::string::npos)
+      << response->body.substr(0, 200);
+#if !defined(NATIX_OBS_DISABLED)
+  EXPECT_GT(metrics.deadline_exceeded.value(), deadline_before);
+  EXPECT_EQ(metrics.queries_executed.value(), executed_before);
 #endif
 }
 

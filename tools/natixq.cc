@@ -20,13 +20,10 @@
 //     --verify-plans  statically verify the compiled plan (logical,
 //                     register dataflow, NVM subscripts); on by default
 //                     in debug builds
-//     --dump-nvm[=before|after|both]
-//                     print the symbolic NVM disassembly of every
+//     --dump-nvm      print the symbolic NVM disassembly of every
 //                     compiled subscript program (basic-block labels,
-//                     operand roles) before/after the bytecode
-//                     optimizer, with static instruction counts and the
-//                     analysis-justified rewrites, instead of evaluating
-//     --no-nvm-opt    disable the NVM bytecode optimizer (ablation)
+//                     operand roles) with the static instruction count,
+//                     instead of evaluating
 //     --var k=v       bind $k to the string v (repeatable)
 //     --trace=FILE    trace the compile/execution pipeline and write
 //                     Chrome trace_event JSON (Perfetto-loadable) to FILE
@@ -63,8 +60,7 @@ namespace {
 int Usage() {
   std::fprintf(stderr,
                "usage: natixq [--explain] [--explain-json] [--analyze] "
-               "[--canonical] [--dump-nvm[=before|after|both]] "
-               "[--no-nvm-opt] "
+               "[--canonical] [--dump-nvm] "
                "[--values] [--count] [--verify-plans] [--var k=v]... "
                "[--trace=FILE] [--metrics] [--metrics-json=FILE] "
                "[--slow-log[=MS]] [--queries-file=F] [--jobs=N] "
@@ -119,8 +115,6 @@ int main(int argc, char** argv) {
   bool analyze = false;
   bool canonical = false;
   bool dump_nvm = false;
-  bool no_nvm_opt = false;
-  std::string dump_nvm_which = "both";
   bool values = false;
   bool count_only = false;
   bool stats = false;
@@ -146,15 +140,6 @@ int main(int argc, char** argv) {
       canonical = true;
     } else if (arg == "--dump-nvm") {
       dump_nvm = true;
-    } else if (arg.rfind("--dump-nvm=", 0) == 0) {
-      dump_nvm = true;
-      dump_nvm_which = arg.substr(std::strlen("--dump-nvm="));
-      if (dump_nvm_which != "before" && dump_nvm_which != "after" &&
-          dump_nvm_which != "both") {
-        return Usage();
-      }
-    } else if (arg == "--no-nvm-opt") {
-      no_nvm_opt = true;
     } else if (arg == "--values") {
       values = true;
     } else if (arg == "--count") {
@@ -222,7 +207,6 @@ int main(int argc, char** argv) {
 
   auto options = canonical ? natix::translate::TranslatorOptions::Canonical()
                            : natix::translate::TranslatorOptions::Improved();
-  if (no_nvm_opt) options.optimize_nvm = false;
   // Slow-log entries carry the EXPLAIN ANALYZE tree, so the log implies
   // per-operator instrumentation.
   const bool collect_stats = analyze || slow_log;
@@ -342,23 +326,8 @@ int main(int argc, char** argv) {
 
   if (dump_nvm) {
     const natix::qe::PlanTemplate& plan = prepared.plan();
-    if (dump_nvm_which != "after") {
-      std::printf("=== nvm before (%zu instructions) ===\n%s",
-                  plan.nvm_insns_before(),
-                  plan.nvm_listing_before().c_str());
-    }
-    if (dump_nvm_which != "before") {
-      std::printf("=== nvm after (%zu instructions) ===\n%s",
-                  plan.nvm_insns_after(), plan.nvm_listing_after().c_str());
-    }
-    std::string rewrites;
-    for (const natix::algebra::RewriteEvent& event : prepared.rewrites()) {
-      if (event.rule.rfind("nvm:", 0) != 0) continue;
-      rewrites += event.rule + ": " + event.target + " (" +
-                  event.justification + ")\n";
-    }
-    if (rewrites.empty()) rewrites = "(none)\n";
-    std::printf("=== nvm rewrites ===\n%s", rewrites.c_str());
+    std::printf("=== nvm (%zu instructions) ===\n%s", plan.nvm_insns(),
+                plan.nvm_listing().c_str());
     return finish();
   }
 
