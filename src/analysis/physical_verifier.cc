@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "algebra/properties.h"
-#include "analysis/fusability.h"
 #include "analysis/plan_verifier.h"
 
 namespace natix::analysis {
@@ -340,10 +339,8 @@ Status VerifyLowered(const PhysicalModel& model) {
 
 StatusOr<std::string> VerifyPrepared(
     const translate::TranslationResult& translation,
-    const Segmentation& segments, const PhysicalModel& lowered,
-    size_t annotated_operators) {
+    const PhysicalModel& lowered, size_t annotated_operators) {
   NATIX_RETURN_IF_ERROR(VerifyLowered(lowered));
-  NATIX_RETURN_IF_ERROR(VerifySegments(*translation.plan, segments));
   return "VERIFIED (logical: " +
          std::to_string(algebra::PlanSize(*translation.plan)) +
          " operators; physical: " + std::to_string(lowered.register_count) +

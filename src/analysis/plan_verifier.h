@@ -5,7 +5,6 @@
 #include <string>
 
 #include "algebra/operator.h"
-#include "analysis/fusability.h"
 #include "analysis/physical_model.h"
 #include "base/status.h"
 #include "base/statusor.h"
@@ -34,8 +33,7 @@ namespace natix::analysis {
 ///                          balance, Tmp^cs/MemoX spool containment,
 ///                          Close-reachability; docs/STATIC-ANALYSIS.md),
 ///                          in one walk over the lowered plan at Prepare
-///                          (VerifyPrepared, with the segmentation
-///                          self-check).
+///                          (VerifyPrepared).
 ///
 /// Verification is on by default in debug builds and opt-in in release
 /// builds (natixq --verify-plans, SetVerificationEnabled(true), or the
@@ -112,14 +110,11 @@ std::set<std::string> ExecutionContextAttributes();
 Status VerifyLowered(const PhysicalModel& model);
 
 /// The verification pass Codegen::Prepare runs once per plan when
-/// verification is on: VerifyLowered over `lowered`, then the
-/// segmentation self-check of `segments` against the translated plan
-/// (VerifySegments). Returns the one-line verdict the template reports;
-/// `annotated_operators` is quoted in it.
+/// verification is on: VerifyLowered over `lowered`. Returns the one-line
+/// verdict the template reports; `annotated_operators` is quoted in it.
 StatusOr<std::string> VerifyPrepared(
     const translate::TranslationResult& translation,
-    const Segmentation& segments, const PhysicalModel& lowered,
-    size_t annotated_operators);
+    const PhysicalModel& lowered, size_t annotated_operators);
 
 // ---------------------------------------------------------------------------
 // Layer 3: NVM subscript programs

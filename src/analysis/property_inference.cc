@@ -854,15 +854,13 @@ void JsonForOp(const Operator& op, const PropertyMap& map, std::string* out) {
 
 }  // namespace
 
-std::string RenderAnnotatedPlan(const Operator& root) {
-  PropertyMap map = AnnotatePlan(root);
+std::string RenderAnnotatedPlan(const Operator& root, const PropertyMap& map) {
   std::string out;
   RenderAnnotated(root, map, 0, &out);
   return out;
 }
 
-std::string PlanToJson(const Operator& root) {
-  PropertyMap map = AnnotatePlan(root);
+std::string PlanToJson(const Operator& root, const PropertyMap& map) {
   std::string out;
   JsonForOp(root, map, &out);
   out += "\n";

@@ -118,12 +118,14 @@ std::string OperatorSummary(const algebra::Operator& op);
 std::string RenderProperties(const PlanProperties& props,
                              const std::string& focus_attr);
 
-/// The logical plan tree with a property tag per operator.
-std::string RenderAnnotatedPlan(const algebra::Operator& root);
+/// The logical plan tree with a property tag per operator, read from
+/// `map` (AnnotatePlan of `root`).
+std::string RenderAnnotatedPlan(const algebra::Operator& root,
+                                const PropertyMap& map);
 
 /// JSON rendering of the operator tree with full inferred properties
-/// (natixq --explain-json).
-std::string PlanToJson(const algebra::Operator& root);
+/// from `map` (AnnotatePlan of `root`; natixq --explain-json).
+std::string PlanToJson(const algebra::Operator& root, const PropertyMap& map);
 
 /// Layer-1.5 of the plan verifier: checks that a rewrite did not weaken
 /// the inferred properties of the rewritten subtree — cardinality bound,

@@ -91,25 +91,13 @@ class PreparedQuery : public std::enable_shared_from_this<PreparedQuery> {
     return plan_->verification();
   }
 
-  /// The fusability segmentation: maximal non-materializing, effect-free
-  /// pipeline segments with their materialization/blocking boundaries
-  /// (docs/STATIC-ANALYSIS.md).
-  const analysis::Segmentation& Segments() const {
-    return plan_->segments();
-  }
-
-  /// Human-readable segment listing (natixq --explain).
-  const std::string& ExplainSegments() const {
-    return plan_->segments_text();
-  }
-
   /// The logical plan annotated per operator with its inferred stream
   /// properties (cardinality, ordering, duplicate-freedom, node class).
   const std::string& ExplainProperties() const {
     return plan_->properties_plan();
   }
 
-  /// JSON rendering of the annotated operator tree.
+  /// JSON rendering of the annotated operator tree: {"plan": ...}.
   const std::string& ExplainJson() const { return plan_->properties_json(); }
 
   /// The property-justified rewrites applied during translation.

@@ -254,8 +254,7 @@ class CodegenImpl {
     }
     NATIX_ASSIGN_OR_RETURN(
         tmpl_.verification_,
-        analysis::VerifyPrepared(translation, tmpl_.segmentation_, model_,
-                                 props_.size()));
+        analysis::VerifyPrepared(translation, model_, props_.size()));
     return Status::OK();
   }
 
@@ -335,8 +334,6 @@ class CodegenImpl {
       return Status::Internal(st.message() + " (subscript of " +
                               host->label + ")");
     }
-    tmpl_.nvm_listing_ +=
-        "== " + host->label + " ==\n" + program.Disassemble();
     tmpl_.nvm_insns_ += program.code.size();
     // The program's tuple-register operands are exactly the plan
     // registers the subscript reads per tuple (kLoadAttr, and the step
@@ -793,19 +790,11 @@ StatusOr<std::unique_ptr<PlanTemplate>> Codegen::Prepare(
   const analysis::PropertyMap props =
       analysis::AnnotatePlan(*translation.plan);
   tmpl->logical_plan_ = translation.plan->ToString();
-  tmpl->properties_plan_ = analysis::RenderAnnotatedPlan(*translation.plan);
-
-  // Fusability segmentation (Layer 4): maximal non-materializing,
-  // effect-free pipeline segments with their boundaries — the NVM
-  // fusion compiler's work list, surfaced through --explain and
-  // --explain-json.
-  tmpl->segmentation_ = analysis::SegmentPlan(*translation.plan);
-  tmpl->segments_text_ = analysis::RenderSegments(tmpl->segmentation_);
-  std::string plan_json = analysis::PlanToJson(*translation.plan);
+  tmpl->properties_plan_ =
+      analysis::RenderAnnotatedPlan(*translation.plan, props);
+  std::string plan_json = analysis::PlanToJson(*translation.plan, props);
   while (!plan_json.empty() && plan_json.back() == '\n') plan_json.pop_back();
-  tmpl->properties_json_ =
-      "{\"plan\":" + plan_json +
-      ",\"segments\":" + analysis::SegmentsJson(tmpl->segmentation_) + "}\n";
+  tmpl->properties_json_ = "{\"plan\":" + plan_json + "}\n";
 
   tmpl->translation_ = std::move(translation);
   internal::CodegenImpl impl(tmpl.get(), props);

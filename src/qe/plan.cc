@@ -203,6 +203,14 @@ std::unique_ptr<ExecutionContext> PlanTemplate::NewContext(
   return ctx;
 }
 
+std::string PlanTemplate::nvm_listing() const {
+  std::string out;
+  for (const auto& [label, program] : lowered_.programs) {
+    out += "== " + label + " ==\n" + program.Disassemble();
+  }
+  return out;
+}
+
 void SortResultNodes(std::vector<runtime::NodeRef>* nodes) {
   std::sort(nodes->begin(), nodes->end(),
             [](const runtime::NodeRef& a, const runtime::NodeRef& b) {

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "algebra/rewriter.h"
-#include "analysis/fusability.h"
 #include "analysis/physical_model.h"
 #include "base/statusor.h"
 #include "qe/exec_context.h"
@@ -80,18 +79,9 @@ class PlanTemplate {
   /// (ordering, duplicate-freedom, cardinality, node class) per operator.
   const std::string& properties_plan() const { return properties_plan_; }
 
-  /// JSON object with the operator tree ("plan": full inferred
-  /// properties per operator) and the fusability segmentation
-  /// ("segments") — natixq --explain-json.
+  /// JSON object {"plan": ...} with the operator tree and the full
+  /// inferred properties per operator — natixq --explain-json.
   const std::string& properties_json() const { return properties_json_; }
-
-  /// Fusability segmentation: maximal non-materializing, effect-free
-  /// pipeline segments and the materialization/blocking boundaries
-  /// between them. The descriptors the NVM fusion compiler consumes.
-  const analysis::Segmentation& segments() const { return segmentation_; }
-
-  /// Human-readable segment listing (natixq --explain).
-  const std::string& segments_text() const { return segments_text_; }
 
   /// The property-justified rewrites applied during translation, each
   /// with the inferred property that proved it sound.
@@ -100,9 +90,9 @@ class PlanTemplate {
   }
 
   /// Symbolic disassembly of every compiled NVM subscript program, as
-  /// code generation emitted and the VM runs it. Shown by natixq
-  /// --dump-nvm.
-  const std::string& nvm_listing() const { return nvm_listing_; }
+  /// code generation emitted and the VM runs it, rendered on each call.
+  /// Shown by natixq --dump-nvm.
+  std::string nvm_listing() const;
 
   /// Static instruction total across all subscript programs.
   size_t nvm_insns() const { return nvm_insns_; }
@@ -133,10 +123,7 @@ class PlanTemplate {
   bool verified_ = false;
   std::string properties_plan_;
   std::string properties_json_;
-  analysis::Segmentation segmentation_;
-  std::string segments_text_;
   bool result_document_ordered_ = false;
-  std::string nvm_listing_;
   size_t nvm_insns_ = 0;
 };
 

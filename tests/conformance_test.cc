@@ -322,7 +322,7 @@ TEST(StepLoopConformanceTest, ValuePredicatesMatchTheInterpreter) {
                             "/r/p[count(n) > 2]", "/r/p[n = true()]"}) {
     auto compiled = (*db)->Compile(query);
     ASSERT_TRUE(compiled.ok()) << query;
-    const std::string& listing =
+    const std::string listing =
         (*compiled)->prepared().plan().nvm_listing();
     EXPECT_NE(listing.find("step_"), std::string::npos) << query;
     EXPECT_EQ(listing.find("eval_nested"), std::string::npos) << query;

@@ -179,80 +179,15 @@ TEST(ExplainJsonGoldenTest, PaperQueriesEmitWellFormedJson) {
     EXPECT_TRUE(JsonBalanced(json)) << c.query;
     // Single line, trailing newline only.
     EXPECT_EQ(json.find('\n'), json.size() - 1) << c.query;
+    // One top-level key: {"plan":{...}}.
+    EXPECT_EQ(json.rfind("{\"plan\":{", 0), 0u) << c.query;
+    EXPECT_EQ(json.substr(json.size() - 3), "}}\n") << c.query;
+    EXPECT_EQ(json.find("\"segments\""), std::string::npos) << c.query;
     EXPECT_NE(json.find("\"op\":\"UnnestMap\""), std::string::npos)
         << c.query;
     EXPECT_NE(json.find("\"cardinality\":"), std::string::npos) << c.query;
     EXPECT_NE(json.find("\"attrs\":{"), std::string::npos) << c.query;
   }
-}
-
-TEST(ExplainJsonGoldenTest, PaperQueriesCarrySegments) {
-  // Every paper query's --explain-json carries the fusability
-  // segmentation next to the plan, and Figs. 6-8 each keep a
-  // multi-operator fusable segment (the navigation spine below the last
-  // DupElim) — the NVM fusion compiler's work list.
-  const struct {
-    const char* xml;
-    const char* query;
-    const char* spine;  // first op of the multi-operator fusable segment
-  } cases[] = {
-      {kXdoc, "/child::xdoc/desc::*/anc::*/desc::*/@id",
-       "\"UnnestMap[c4 := c3/ancestor::*]\",\"UnnestMap[c3 := "
-       "c2/descendant::*]\""},
-      {kXdoc, "/child::xdoc/desc::*/pre-sib::*/fol::*/@id",
-       "\"UnnestMap[c4 := c3/preceding-sibling::*]\",\"UnnestMap[c3 := "
-       "c2/descendant::*]\""},
-      {kXdoc, "/child::xdoc/desc::*/anc::*/anc::*/@id",
-       "\"UnnestMap[c4 := c3/ancestor::*]\",\"UnnestMap[c3 := "
-       "c2/descendant::*]\""},
-  };
-  for (const auto& c : cases) {
-    auto q = CompileQuery(c.xml, c.query);
-    const std::string& json = q->ExplainJson();
-    EXPECT_NE(json.find("\"segments\":[{"), std::string::npos) << c.query;
-    EXPECT_NE(json.find("\"barrier\":\"stateful: duplicate seen-set\""),
-              std::string::npos)
-        << c.query;
-    // The fusable spine stays one segment: consecutive ops in one array.
-    EXPECT_NE(json.find(c.spine), std::string::npos) << c.query;
-  }
-}
-
-TEST(ExplainSegmentsGoldenTest, Fig6Segments) {
-  auto q = CompileQuery(kXdoc, "/child::xdoc/desc::*/anc::*/desc::*/@id");
-  EXPECT_EQ(q->ExplainSegments(),
-            R"(pipeline segments: 5 (3 fusable)
-  segment 0 [fusable]
-    UnnestMap[c6 := c5/attribute::id]
-  segment 1 [boundary: stateful: duplicate seen-set]
-    DupElim[c5]
-  segment 2 [fusable]
-    UnnestMap[c5 := c4/descendant::*]
-  segment 3 [boundary: stateful: duplicate seen-set]
-    DupElim[c4]
-  segment 4 [fusable]
-    UnnestMap[c4 := c3/ancestor::*]
-    UnnestMap[c3 := c2/descendant::*]
-    UnnestMap[c2 := c1/child::xdoc]
-    Map[c1 := root*(cn)]
-    SingletonScan
-)");
-}
-
-TEST(ExplainSegmentsGoldenTest, Fig10DblpSegments) {
-  auto q = CompileQuery(kDblp, "/dblp/article[position() = last()]/title");
-  EXPECT_EQ(q->ExplainSegments(),
-            R"(pipeline segments: 1 (1 fusable)
-  segment 0 [fusable]
-    UnnestMap[c6 := c3/child::title]
-    Limit[1]
-    Select[(cp4 = 1)]
-    Counter[cp4, reset on c2]
-    UnnestMap^rev[c3 := c2/child::article]
-    UnnestMap[c2 := c1/child::dblp]
-    Map[c1 := root*(cn)]
-    SingletonScan
-)");
 }
 
 TEST(ExplainJsonGoldenTest, Fig6JsonCarriesDescendantClaims) {

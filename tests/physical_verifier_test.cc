@@ -1,10 +1,10 @@
 // Negative tests for Layer 4 of the static plan verifier: hand-built
 // physical models with injected resource-effect defects (a pin leak, a
-// missing Close on the abort path, a mislabeled-fusable segment) must be
-// rejected with a diagnostic naming the offending operator — and the
-// matching runtime ledger must catch the same classes of defect when an
-// execution leaks. Positive coverage (every compiler-produced plan
-// passes Layer 4) is enforced binary-wide by verify_env_test.cc.
+// missing Close on the abort path) must be rejected with a diagnostic
+// naming the offending operator — and the matching runtime ledger must
+// catch the same classes of defect when an execution leaks. Positive
+// coverage (every compiler-produced plan passes Layer 4) is enforced
+// binary-wide by verify_env_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -12,13 +12,7 @@
 #include <string>
 #include <utility>
 
-#include "analysis/fusability.h"
 #include "analysis/plan_verifier.h"
-#include "translate/translator.h"
-#include "xpath/fold.h"
-#include "xpath/normalizer.h"
-#include "xpath/parser.h"
-#include "xpath/sema.h"
 
 namespace natix::analysis {
 namespace {
@@ -131,72 +125,6 @@ TEST(ResourceVerifierTest, ProbeContainedChildIsSafeWithoutCloseForwarding) {
   semi->children.push_back(Node(PhysNodeKind::kLeaf, "SingletonScan"));
   semi->children.push_back(std::move(probe));
   EXPECT_TRUE(VerifyLowered(WrapRoot(std::move(semi))).ok());
-}
-
-// ---------------------------------------------------------------------------
-// Mislabeled fusability segmentation
-// ---------------------------------------------------------------------------
-
-/// Parses, normalizes and translates `query` into its algebra plan.
-translate::TranslationResult Translate(const std::string& query) {
-  auto ast = xpath::ParseXPath(query);
-  NATIX_CHECK(ast.ok());
-  NATIX_CHECK(xpath::Analyze(ast->get()).ok());
-  xpath::FoldConstants(ast->get());
-  xpath::Normalize(ast->get());
-  auto result =
-      translate::Translate(**ast, translate::TranslatorOptions::Improved(),
-                           analysis::VerificationEnabled());
-  NATIX_CHECK(result.ok());
-  return std::move(result.value());
-}
-
-TEST(SegmentVerifierTest, RejectsMislabeledFusableSegment) {
-  // Take the real segmentation of a plan with a DupElim boundary and flip
-  // the boundary segment to "fusable": the verifier re-derives the truth
-  // and names the operator.
-  auto result = Translate("/child::xdoc/desc::*/anc::*/desc::*/@id");
-  const algebra::Operator& plan = *result.plan;
-  Segmentation seg = SegmentPlan(plan);
-  ASSERT_GT(seg.segments.size(), 1u);
-  bool flipped = false;
-  for (PipelineSegment& s : seg.segments) {
-    if (!s.fusable) {
-      s.fusable = true;
-      flipped = true;
-      break;
-    }
-  }
-  ASSERT_TRUE(flipped) << "expected at least one boundary segment";
-  Status st = VerifySegments(plan, seg);
-  ExpectRejected(st, "is mislabeled fusable — operator is a");
-  EXPECT_NE(st.message().find("DupElim"), std::string::npos)
-      << "diagnostic was: " << st.message();
-}
-
-TEST(SegmentVerifierTest, RejectsMislabeledBoundarySegment) {
-  auto result = Translate("/child::xdoc/desc::*/anc::*/desc::*/@id");
-  const algebra::Operator& plan = *result.plan;
-  Segmentation seg = SegmentPlan(plan);
-  bool flipped = false;
-  for (PipelineSegment& s : seg.segments) {
-    if (s.fusable) {
-      s.fusable = false;
-      flipped = true;
-      break;
-    }
-  }
-  ASSERT_TRUE(flipped);
-  ExpectRejected(VerifySegments(plan, seg),
-                 "is mislabeled non-fusable — all operators are effect-free");
-}
-
-TEST(SegmentVerifierTest, RejectsSegmentCountMismatch) {
-  auto result = Translate("/child::xdoc/desc::*/@id");
-  const algebra::Operator& plan = *result.plan;
-  Segmentation seg = SegmentPlan(plan);
-  seg.segments.pop_back();
-  ExpectRejected(VerifySegments(plan, seg), "segmentation claims");
 }
 
 }  // namespace

@@ -330,7 +330,7 @@ TEST(PropertyRenderTest, SummaryAndTagFormats) {
 
 TEST(PropertyRenderTest, JsonContainsPerAttributeClaims) {
   auto result = Translate("/a/b");
-  std::string json = PlanToJson(*result.plan);
+  std::string json = PlanToJson(*result.plan, AnnotatePlan(*result.plan));
   EXPECT_NE(json.find("\"op\":\"UnnestMap\""), std::string::npos);
   EXPECT_NE(json.find("\"cardinality\":\"n\""), std::string::npos);
   EXPECT_NE(json.find("\"order\":\"doc\""), std::string::npos);

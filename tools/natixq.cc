@@ -340,13 +340,11 @@ int main(int argc, char** argv) {
     if (rewrites.empty()) rewrites = "(none)\n";
     std::printf("=== logical plan ===\n%s\n=== physical plan ===\n%s"
                 "=== stream properties ===\n%s"
-                "=== pipeline segments ===\n%s"
                 "=== rewrites ===\n%s"
                 "=== verification ===\n%s\n",
                 prepared.ExplainLogical().c_str(),
                 prepared.ExplainPhysical().c_str(),
                 prepared.ExplainProperties().c_str(),
-                prepared.ExplainSegments().c_str(),
                 rewrites.c_str(),
                 prepared.VerificationReport().c_str());
     return finish();
