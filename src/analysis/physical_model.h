@@ -171,6 +171,9 @@ struct PhysNode {
   runtime::NodeTest test;
   /// UnnestMap^rev: children from the last one backwards.
   bool reverse = false;
+  /// UnnestMap^D: the step fused with the DupElim on its output, pruning
+  /// its walk by its own seen-set.
+  bool dedup = false;
   /// Aggregate, BinaryGroup: the aggregate function.
   algebra::AggKind agg = algebra::AggKind::kExists;
   /// Limit: the tuple cap.

@@ -74,6 +74,20 @@ PhysNode* Effects(PhysNode* node, std::vector<ChildClose> child_close,
   return node;
 }
 
+/// The step that lowers fused with the duplicate elimination `op` into
+/// one UnnestMap^D node (Upsilon^D): `op` is a DupElim[a] directly over
+/// UnnestMap[a := c/axis::test] on an axis whose walk the seen-set may
+/// prune (runtime::AxisPrunesByDedup). Null when `op` lowers on its own.
+const Operator* FusedStep(const Operator& op) {
+  if (op.kind != OpKind::kDupElim) return nullptr;
+  const Operator& step = *op.children[0];
+  if (step.kind != OpKind::kUnnestMap || step.attr != op.attr ||
+      step.reverse || !runtime::AxisPrunesByDedup(step.axis)) {
+    return nullptr;
+  }
+  return &step;
+}
+
 /// Renders the physical shape of the compiled plan: the logical operator
 /// tree annotated with the attribute manager's register assignments.
 /// Pure-rename maps that compiled to register aliases are marked.
@@ -119,7 +133,10 @@ class PhysicalPrinter {
     for (const auto& child : scalar.children) PrintScalar(*child, depth);
   }
 
-  void Print(const Operator& op, int depth) {
+  void Print(const Operator& dedup_or_op, int depth) {
+    // A fused pair renders as its step.
+    const Operator* fused = FusedStep(dedup_or_op);
+    const Operator& op = fused != nullptr ? *fused : dedup_or_op;
     out_.append(static_cast<size_t>(depth) * 2, ' ');
     out_ += algebra::OpKindName(op.kind);
     switch (op.kind) {
@@ -137,7 +154,10 @@ class PhysicalPrinter {
         out_ += "[" + op.scalar->ToString() + "]";
         break;
       case OpKind::kUnnestMap:
-        out_ += std::string(op.reverse ? "^rev" : "") + "[" + Reg(op.attr) +
+        out_ += std::string(fused != nullptr ? "^D"
+                            : op.reverse     ? "^rev"
+                                             : "") +
+                "[" + Reg(op.attr) +
                 " := " + Reg(op.ctx_attr) + "/" +
                 runtime::AxisName(op.axis) + "::" + op.test.ToString() +
                 "]";
@@ -453,6 +473,15 @@ class CodegenImpl {
     // Logical only: registers are not reclaimed, so projection needs no
     // runtime work (and no node).
     if (op.kind == OpKind::kProject) return Lower(*op.children[0]);
+    if (const Operator* step = FusedStep(op)) {
+      NATIX_ASSIGN_OR_RETURN(Lowered in, Lower(*step->children[0]));
+      NATIX_ASSIGN_OR_RETURN(Lowered out,
+                             LowerUnnestMap(*step, std::move(in), &op));
+      // The stream satisfies the claims of both operators.
+      AddOracle(*step, out.node.get());
+      AddOracle(op, out.node.get());
+      return out;
+    }
     std::vector<Lowered> in;
     in.reserve(op.children.size());
     for (const algebra::OpPtr& child : op.children) {
@@ -561,26 +590,35 @@ class CodegenImpl {
     return Pipe(std::move(node), std::move(child));
   }
 
-  StatusOr<Lowered> LowerUnnestMap(const Operator& op, Lowered child) {
+  /// Lowers the step `op`; with `dedup`, the DupElim over it, fused into
+  /// one UnnestMap^D node that owns the seen-set.
+  StatusOr<Lowered> LowerUnnestMap(const Operator& op, Lowered child,
+                                   const Operator* dedup = nullptr) {
     NATIX_ASSIGN_OR_RETURN(RegisterId ctx, Resolve(op.ctx_attr));
     RegisterId out = Bind(op.attr);
+    const std::string suffix = dedup != nullptr ? "^D"
+                               : op.reverse     ? "^rev"
+                                                : "";
     PhysNodePtr node =
-        MakeNode(PhysNodeKind::kPipeline, op.kind, "UnnestMap");
+        MakeNode(PhysNodeKind::kPipeline, op.kind,
+                 dedup != nullptr ? "UnnestMap^D" : "UnnestMap");
     // The axis cursor pins pages between Next calls while active; Close
-    // drops it (pin balance on early exit).
-    Effects(node.get(), {ChildClose::kOnClose}, SpoolKind::kNone,
-            /*spool_released_on_close=*/false, /*holds_cursor=*/true,
-            /*cursor_released_on_close=*/true);
+    // drops it (pin balance on early exit), and the seen-set with it.
+    Effects(node.get(), {ChildClose::kOnClose},
+            dedup != nullptr ? SpoolKind::kFull : SpoolKind::kNone,
+            /*spool_released_on_close=*/dedup != nullptr,
+            /*holds_cursor=*/true, /*cursor_released_on_close=*/true);
     node->axis = op.axis;
     node->test = ResolveNodeTest(op.test);
     node->reverse = op.reverse;
+    node->dedup = dedup != nullptr;
     node->reads.push_back(ctx);
     node->writes.push_back(out);
-    node->stats_label = std::string("UnnestMap") +
-                        (op.reverse ? "^rev" : "") + "[" + op.attr +
-                        " := " + op.ctx_attr + "/" +
+    node->stats_label = "UnnestMap" + suffix + "[" + op.attr + " := " +
+                        op.ctx_attr + "/" +
                         runtime::AxisName(op.axis) +
-                        "::" + op.test.ToString() + "]" + PropTag(op);
+                        "::" + op.test.ToString() + "]" +
+                        PropTag(dedup != nullptr ? *dedup : op);
     child.written.insert(out);
     return Pipe(std::move(node), std::move(child));
   }

@@ -33,7 +33,7 @@ Status DupElimIterator::NextImpl(bool* has) {
     if (!*has) return Status::OK();
     const Value& v = state_->registers[attr_];
     bool fresh = v.kind() == ValueKind::kNode
-                     ? seen_nodes_.insert(v.AsNode().id).second
+                     ? seen_nodes_.Insert(v.AsNode().id)
                      : seen_other_.insert(EncodeValueKey(v)).second;
     if (fresh) {
       state_->LedgerSpoolGrew(1);

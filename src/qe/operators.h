@@ -10,6 +10,7 @@
 
 #include "qe/iterator.h"
 #include "qe/subscripts.h"
+#include "runtime/node_id_set.h"
 #include "runtime/node_ops.h"
 
 namespace natix::qe {
@@ -139,23 +140,35 @@ class LimitIterator : public Iterator {
 /// The unnest-map Upsilon_{a := c/axis::test} (Sec. 3.2): the location
 /// step. Streams the axis nodes of each input tuple's context node,
 /// navigating the page buffer directly.
+///
+/// With `dedup` it is Upsilon^D, the step fused with the duplicate
+/// elimination Pi^D[a] above it (AxisPrunesByDedup, runtime/node_ops.h). It
+/// emits only the first occurrence of each node, and every node in its
+/// seen-set was emitted by a walk that went on over the node's whole
+/// closure since Open. So a descendant walk skips a context, and the
+/// subtree of a produced node, already in the set; the other pruned axes
+/// end a context's walk at the first node in the set. The output is
+/// Pi^D's, tuple for tuple.
 class UnnestMapIterator : public Iterator {
  public:
   UnnestMapIterator(ExecutionContext* state, IteratorPtr child,
                     runtime::RegisterId ctx, runtime::RegisterId out,
                     runtime::Axis axis, runtime::NodeTest test,
-                    bool reverse);
+                    bool reverse, bool dedup);
   Status OpenImpl() override;
   Status NextImpl(bool* has) override;
   /// Deactivates the axis cursor before closing the child, so the
   /// resource ledger sees it inactive after an early Close via Limit or
   /// a deadline/cancel abort. The cursor holds no pins: pages stay in the
-  /// execution's page set until the Evaluate* call returns.
+  /// execution's page set until the Evaluate* call returns. Upsilon^D
+  /// also drops its seen-set (spool containment).
   Status CloseImpl() override;
 
  private:
   /// Deactivates the cursor, updating the resource ledger.
   void ReleaseCursor();
+  /// Empties the seen-set, updating the resource ledger.
+  void DropSeen();
 
   ExecutionContext* state_;
   IteratorPtr child_;
@@ -164,8 +177,13 @@ class UnnestMapIterator : public Iterator {
   runtime::Axis axis_;
   runtime::NodeTest test_;
   bool reverse_;
+  bool dedup_;
+  /// Upsilon^D on a descendant axis: prune by skipping subtrees rather
+  /// than by ending the walk.
+  bool skip_subtrees_;
   runtime::AxisCursor cursor_;
   bool cursor_active_ = false;
+  runtime::NodeIdSet seen_;
 };
 
 /// Concatenation ⊕ of several inputs.
@@ -253,7 +271,7 @@ class DupElimIterator : public Iterator {
   IteratorPtr child_;
   runtime::RegisterId attr_;
   /// Fast path: node attributes dedup on packed node ids.
-  std::unordered_set<uint64_t> seen_nodes_;
+  runtime::NodeIdSet seen_nodes_;
   std::unordered_set<std::string> seen_other_;
 };
 

@@ -87,7 +87,8 @@ UnnestMapIterator::UnnestMapIterator(ExecutionContext* state,
                                      runtime::RegisterId ctx,
                                      runtime::RegisterId out,
                                      runtime::Axis axis,
-                                     runtime::NodeTest test, bool reverse)
+                                     runtime::NodeTest test, bool reverse,
+                                     bool dedup)
     : state_(state),
       child_(std::move(child)),
       ctx_(ctx),
@@ -95,6 +96,9 @@ UnnestMapIterator::UnnestMapIterator(ExecutionContext* state,
       axis_(axis),
       test_(test),
       reverse_(reverse),
+      dedup_(dedup),
+      skip_subtrees_(axis == runtime::Axis::kDescendant ||
+                     axis == runtime::Axis::kDescendantOrSelf),
       cursor_(state->eval_ctx.nodes) {}
 
 void UnnestMapIterator::ReleaseCursor() {
@@ -104,13 +108,20 @@ void UnnestMapIterator::ReleaseCursor() {
   }
 }
 
+void UnnestMapIterator::DropSeen() {
+  state_->LedgerSpoolDropped(seen_.size());
+  seen_.clear();
+}
+
 Status UnnestMapIterator::OpenImpl() {
   ReleaseCursor();
+  DropSeen();
   return child_->Open();
 }
 
 Status UnnestMapIterator::CloseImpl() {
   ReleaseCursor();
+  DropSeen();
   return child_->Close();
 }
 
@@ -126,6 +137,11 @@ Status UnnestMapIterator::NextImpl(bool* has) {
         // A null / non-node context contributes no step results.
         continue;
       }
+      // Upsilon^D: a descendant walk from a node already emitted would
+      // find nothing new.
+      if (skip_subtrees_ && dedup_ && seen_.Contains(ctx.AsNode().id)) {
+        continue;
+      }
       NATIX_RETURN_IF_ERROR(
           cursor_.Open(axis_, test_, ctx.AsNode().node_id(), reverse_));
       cursor_active_ = true;
@@ -134,14 +150,27 @@ Status UnnestMapIterator::NextImpl(bool* has) {
     bool cursor_has = false;
     runtime::NodeRef node;
     NATIX_RETURN_IF_ERROR(cursor_.Next(&cursor_has, &node));
-    if (cursor_has) {
-      state_->registers[out_] = Value::Node(node);
-      ++state_->tuples_produced;
-      *has = true;
-      return Status::OK();
+    if (!cursor_has) {
+      ReleaseCursor();
+      continue;
     }
-    cursor_active_ = false;
-    state_->LedgerCursorReleased();
+    if (dedup_) {
+      if (!seen_.Insert(node.id)) {
+        // Emitted before, by a walk that went on over all this walk
+        // would visit below or after `node`.
+        if (skip_subtrees_) {
+          cursor_.SkipChildren();
+        } else {
+          ReleaseCursor();
+        }
+        continue;
+      }
+      state_->LedgerSpoolGrew(1);
+    }
+    state_->registers[out_] = Value::Node(node);
+    ++state_->tuples_produced;
+    *has = true;
+    return Status::OK();
   }
 }
 

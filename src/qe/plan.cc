@@ -136,7 +136,8 @@ class Instantiator {
                                                  optional_read);
       case OpKind::kUnnestMap:
         return std::make_unique<UnnestMapIterator>(
-            s, input(0), n.reads[0], n.writes[0], n.axis, n.test, n.reverse);
+            s, input(0), n.reads[0], n.writes[0], n.axis, n.test, n.reverse,
+            n.dedup);
       case OpKind::kDJoin:
       case OpKind::kCross:
         return std::make_unique<DJoinIterator>(input(0), input(1));

@@ -48,7 +48,7 @@ Status PropertyOracleIterator::NextImpl(bool* has) {
       last_order_ = node.order;
       has_last_ = true;
     }
-    if (check_duplicate_free_ && !seen_nodes_.insert(node.id).second) {
+    if (check_duplicate_free_ && !seen_nodes_.Insert(node.id)) {
       return Status::Internal(
           "property oracle: stream '" + label_ +
           "' violated its duplicate-freedom claim (node id " +

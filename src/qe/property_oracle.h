@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "qe/iterator.h"
+#include "runtime/node_id_set.h"
 
 namespace natix::qe {
 
@@ -58,7 +59,7 @@ class PropertyOracleIterator : public Iterator {
   bool has_last_ = false;
   /// Packed node ids seen since Open (duplicate-freedom); non-node
   /// values are keyed through EncodeValueKey.
-  std::unordered_set<uint64_t> seen_nodes_;
+  runtime::NodeIdSet seen_nodes_;
   std::unordered_set<std::string> seen_values_;
 };
 

@@ -72,6 +72,26 @@ bool AxisIsPpd(Axis axis) {
   return false;
 }
 
+bool AxisPrunesByDedup(Axis axis) {
+  switch (axis) {
+    case Axis::kDescendant:
+    case Axis::kDescendantOrSelf:
+    case Axis::kAncestor:
+    case Axis::kAncestorOrSelf:
+    case Axis::kFollowing:
+    case Axis::kFollowingSibling:
+    case Axis::kPrecedingSibling:
+      return true;
+    case Axis::kPreceding:
+    case Axis::kParent:
+    case Axis::kChild:
+    case Axis::kAttribute:
+    case Axis::kSelf:
+      return false;
+  }
+  return false;
+}
+
 std::string NodeTest::DebugString(
     const storage::NameDictionary* names) const {
   switch (kind) {

@@ -40,6 +40,17 @@ bool AxisIsReverse(Axis axis);
 /// duplicates (given duplicate-free input) or break document order.
 bool AxisIsPpd(Axis axis);
 
+/// Whether a step on `axis` fused with the duplicate elimination above it
+/// (the unnest-map Upsilon^D) may prune its walk at a node it emitted
+/// before. On these axes what a walk visits after a node n depends on n
+/// alone, so the earlier walk that emitted n went on over all of it. A
+/// descendant walk also stays inside its context's subtree, so only n's
+/// subtree is skipped there; the other axes end the walk at n. Not
+/// preceding: the rest of its walk leaves out the context's ancestors,
+/// which differ between contexts. Parent and self walks end after one
+/// node anyway; child and attribute steps produce no duplicates.
+bool AxisPrunesByDedup(Axis axis);
+
 /// A compiled node test. Names are resolved to dictionary ids at compile
 /// time; a name absent from the dictionary can never match.
 struct NodeTest {
@@ -86,6 +97,10 @@ class AxisCursor {
 
   /// Produces the next matching node. Sets *has to false at the end.
   Status Next(bool* has, NodeRef* out);
+
+  /// Descendant axes: the walk does not enter the subtree of the node
+  /// Next produced last; it goes on with that node's following sibling.
+  void SkipChildren() { record_.first_child = storage::kInvalidNodeId; }
 
  private:
   /// Advances the raw axis walk by one node (pre node-test), storing it in

@@ -7,6 +7,9 @@
 // document scale. Note Figs. 6-8: the DupElim above the first
 // descendant step is gone, removed by the property-justified
 // simplifier (the step runs over a duplicate-free non-nested context).
+// Every other DupElim directly over a descendant, ancestor, following or
+// sibling step is fused into it as UnnestMap^D, which prunes the walk by
+// its seen-set; Fig. 9's DupElim over parent:: stays a node of its own.
 
 #include <gtest/gtest.h>
 
@@ -72,14 +75,12 @@ TEST(ExplainAnalyzeGoldenTest, Fig6Query1) {
   EXPECT_EQ(
       AnalyzeQuery(kXdoc, "/child::xdoc/desc::*/anc::*/desc::*/@id"),
       R"(UnnestMap[c6 := c5/attribute::id] {card:n, dup-free(c6), non-nested(c6), class:attribute} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-  DupElim[c5] {card:n, dup-free(c5), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-    UnnestMap[c5 := c4/descendant::*] {card:n, class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-      DupElim[c4] {card:n, dup-free(c4), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-        UnnestMap[c4 := c3/ancestor::*] {card:n, class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-          UnnestMap[c3 := c2/descendant::*] {card:n, ord:doc(c3), dup-free(c3), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-            UnnestMap[c2 := c1/child::xdoc] {card:<=_, ord:doc(c2), dup-free(c2), non-nested(c2), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-              Map[c1 := root*(cn)] {card:1, ord:doc(c1), dup-free(c1), non-nested(c1), class:root} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-                SingletonScan (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+  UnnestMap^D[c5 := c4/descendant::*] {card:n, dup-free(c5), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+    UnnestMap^D[c4 := c3/ancestor::*] {card:n, dup-free(c4), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+      UnnestMap[c3 := c2/descendant::*] {card:n, ord:doc(c3), dup-free(c3), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+        UnnestMap[c2 := c1/child::xdoc] {card:<=_, ord:doc(c2), dup-free(c2), non-nested(c2), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+          Map[c1 := root*(cn)] {card:1, ord:doc(c1), dup-free(c1), non-nested(c1), class:root} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+            SingletonScan (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
 buffer: page_reads=_ page_hits=_ page_writes=_ evictions=_
 )");
 }
@@ -88,14 +89,12 @@ TEST(ExplainAnalyzeGoldenTest, Fig7Query2) {
   EXPECT_EQ(
       AnalyzeQuery(kXdoc, "/child::xdoc/desc::*/pre-sib::*/fol::*/@id"),
       R"(UnnestMap[c6 := c5/attribute::id] {card:n, dup-free(c6), non-nested(c6), class:attribute} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-  DupElim[c5] {card:n, dup-free(c5), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-    UnnestMap[c5 := c4/following::*] {card:n, class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-      DupElim[c4] {card:n, dup-free(c4), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-        UnnestMap[c4 := c3/preceding-sibling::*] {card:n, class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-          UnnestMap[c3 := c2/descendant::*] {card:n, ord:doc(c3), dup-free(c3), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-            UnnestMap[c2 := c1/child::xdoc] {card:<=_, ord:doc(c2), dup-free(c2), non-nested(c2), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-              Map[c1 := root*(cn)] {card:1, ord:doc(c1), dup-free(c1), non-nested(c1), class:root} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-                SingletonScan (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+  UnnestMap^D[c5 := c4/following::*] {card:n, dup-free(c5), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+    UnnestMap^D[c4 := c3/preceding-sibling::*] {card:n, dup-free(c4), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+      UnnestMap[c3 := c2/descendant::*] {card:n, ord:doc(c3), dup-free(c3), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+        UnnestMap[c2 := c1/child::xdoc] {card:<=_, ord:doc(c2), dup-free(c2), non-nested(c2), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+          Map[c1 := root*(cn)] {card:1, ord:doc(c1), dup-free(c1), non-nested(c1), class:root} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+            SingletonScan (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
 buffer: page_reads=_ page_hits=_ page_writes=_ evictions=_
 )");
 }
@@ -104,14 +103,12 @@ TEST(ExplainAnalyzeGoldenTest, Fig8Query3) {
   EXPECT_EQ(
       AnalyzeQuery(kXdoc, "/child::xdoc/desc::*/anc::*/anc::*/@id"),
       R"(UnnestMap[c6 := c5/attribute::id] {card:n, dup-free(c6), non-nested(c6), class:attribute} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-  DupElim[c5] {card:n, dup-free(c5), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-    UnnestMap[c5 := c4/ancestor::*] {card:n, class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-      DupElim[c4] {card:n, dup-free(c4), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-        UnnestMap[c4 := c3/ancestor::*] {card:n, class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-          UnnestMap[c3 := c2/descendant::*] {card:n, ord:doc(c3), dup-free(c3), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-            UnnestMap[c2 := c1/child::xdoc] {card:<=_, ord:doc(c2), dup-free(c2), non-nested(c2), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-              Map[c1 := root*(cn)] {card:1, ord:doc(c1), dup-free(c1), non-nested(c1), class:root} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-                SingletonScan (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+  UnnestMap^D[c5 := c4/ancestor::*] {card:n, dup-free(c5), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+    UnnestMap^D[c4 := c3/ancestor::*] {card:n, dup-free(c4), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+      UnnestMap[c3 := c2/descendant::*] {card:n, ord:doc(c3), dup-free(c3), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+        UnnestMap[c2 := c1/child::xdoc] {card:<=_, ord:doc(c2), dup-free(c2), non-nested(c2), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+          Map[c1 := root*(cn)] {card:1, ord:doc(c1), dup-free(c1), non-nested(c1), class:root} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+            SingletonScan (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
 buffer: page_reads=_ page_hits=_ page_writes=_ evictions=_
 )");
 }
@@ -120,14 +117,13 @@ TEST(ExplainAnalyzeGoldenTest, Fig9Query4) {
   EXPECT_EQ(
       AnalyzeQuery(kXdoc, "/child::xdoc/child::*/par::*/desc::*/@id"),
       R"(UnnestMap[c6 := c5/attribute::id] {card:n, dup-free(c6), non-nested(c6), class:attribute} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-  DupElim[c5] {card:n, dup-free(c5), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-    UnnestMap[c5 := c4/descendant::*] {card:n, class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-      DupElim[c4] {card:n, dup-free(c4), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-        UnnestMap[c4 := c3/parent::*] {card:n, class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-          UnnestMap[c3 := c2/child::*] {card:n, ord:doc(c3), dup-free(c3), non-nested(c3), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-            UnnestMap[c2 := c1/child::xdoc] {card:<=_, ord:doc(c2), dup-free(c2), non-nested(c2), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-              Map[c1 := root*(cn)] {card:1, ord:doc(c1), dup-free(c1), non-nested(c1), class:root} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
-                SingletonScan (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+  UnnestMap^D[c5 := c4/descendant::*] {card:n, dup-free(c5), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+    DupElim[c4] {card:n, dup-free(c4), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+      UnnestMap[c4 := c3/parent::*] {card:n, class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+        UnnestMap[c3 := c2/child::*] {card:n, ord:doc(c3), dup-free(c3), non-nested(c3), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+          UnnestMap[c2 := c1/child::xdoc] {card:<=_, ord:doc(c2), dup-free(c2), non-nested(c2), class:element} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+            Map[c1 := root*(cn)] {card:1, ord:doc(c1), dup-free(c1), non-nested(c1), class:root} (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
+              SingletonScan (open=_ next=_ tuples=_ exclusive_ms=_ page_reads=_ page_hits=_)
 buffer: page_reads=_ page_hits=_ page_writes=_ evictions=_
 )");
 }

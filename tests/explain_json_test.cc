@@ -6,7 +6,9 @@
 // are the contract of the paper-query win: Figs. 6-8 lose the dedup
 // after the initial descendant step, Fig. 10's result stream is proven
 // document-ordered so the API skips its final sort. The same five
-// queries also pin the logical, physical and NVM listings byte-exactly.
+// queries also pin the logical, physical and NVM listings byte-exactly;
+// in the physical listing a DupElim over a prunable ppd step is fused
+// into the step (UnnestMap^D).
 
 #include <gtest/gtest.h>
 
@@ -238,14 +240,12 @@ TEST(ExplainPlanGoldenTest, Fig6Query1) {
 )golden",
                      R"golden(registers: 9, nested plans: 0
 UnnestMap[c6@r8 := c5@r7/attribute::id]
-  DupElim[c5@r7]
-    UnnestMap[c5@r7 := c4@r6/descendant::*]
-      DupElim[c4@r6]
-        UnnestMap[c4@r6 := c3@r5/ancestor::*]
-          UnnestMap[c3@r5 := c2@r4/descendant::*]
-            UnnestMap[c2@r4 := c1@r3/child::xdoc]
-              Map[c1@r3 := root*(cn)]
-                SingletonScan
+  UnnestMap^D[c5@r7 := c4@r6/descendant::*]
+    UnnestMap^D[c4@r6 := c3@r5/ancestor::*]
+      UnnestMap[c3@r5 := c2@r4/descendant::*]
+        UnnestMap[c2@r4 := c1@r3/child::xdoc]
+          Map[c1@r3 := root*(cn)]
+            SingletonScan
 )golden",
                      "=== nvm (3 instructions) ===\n"
                      R"golden(== Map[c1@r3] ==
@@ -270,14 +270,12 @@ TEST(ExplainPlanGoldenTest, Fig7Query2) {
 )golden",
                      R"golden(registers: 9, nested plans: 0
 UnnestMap[c6@r8 := c5@r7/attribute::id]
-  DupElim[c5@r7]
-    UnnestMap[c5@r7 := c4@r6/following::*]
-      DupElim[c4@r6]
-        UnnestMap[c4@r6 := c3@r5/preceding-sibling::*]
-          UnnestMap[c3@r5 := c2@r4/descendant::*]
-            UnnestMap[c2@r4 := c1@r3/child::xdoc]
-              Map[c1@r3 := root*(cn)]
-                SingletonScan
+  UnnestMap^D[c5@r7 := c4@r6/following::*]
+    UnnestMap^D[c4@r6 := c3@r5/preceding-sibling::*]
+      UnnestMap[c3@r5 := c2@r4/descendant::*]
+        UnnestMap[c2@r4 := c1@r3/child::xdoc]
+          Map[c1@r3 := root*(cn)]
+            SingletonScan
 )golden",
                      "=== nvm (3 instructions) ===\n"
                      R"golden(== Map[c1@r3] ==
@@ -302,14 +300,12 @@ TEST(ExplainPlanGoldenTest, Fig8Query3) {
 )golden",
                      R"golden(registers: 9, nested plans: 0
 UnnestMap[c6@r8 := c5@r7/attribute::id]
-  DupElim[c5@r7]
-    UnnestMap[c5@r7 := c4@r6/ancestor::*]
-      DupElim[c4@r6]
-        UnnestMap[c4@r6 := c3@r5/ancestor::*]
-          UnnestMap[c3@r5 := c2@r4/descendant::*]
-            UnnestMap[c2@r4 := c1@r3/child::xdoc]
-              Map[c1@r3 := root*(cn)]
-                SingletonScan
+  UnnestMap^D[c5@r7 := c4@r6/ancestor::*]
+    UnnestMap^D[c4@r6 := c3@r5/ancestor::*]
+      UnnestMap[c3@r5 := c2@r4/descendant::*]
+        UnnestMap[c2@r4 := c1@r3/child::xdoc]
+          Map[c1@r3 := root*(cn)]
+            SingletonScan
 )golden",
                      "=== nvm (3 instructions) ===\n"
                      R"golden(== Map[c1@r3] ==
@@ -334,14 +330,13 @@ TEST(ExplainPlanGoldenTest, Fig9Query4) {
 )golden",
                      R"golden(registers: 9, nested plans: 0
 UnnestMap[c6@r8 := c5@r7/attribute::id]
-  DupElim[c5@r7]
-    UnnestMap[c5@r7 := c4@r6/descendant::*]
-      DupElim[c4@r6]
-        UnnestMap[c4@r6 := c3@r5/parent::*]
-          UnnestMap[c3@r5 := c2@r4/child::*]
-            UnnestMap[c2@r4 := c1@r3/child::xdoc]
-              Map[c1@r3 := root*(cn)]
-                SingletonScan
+  UnnestMap^D[c5@r7 := c4@r6/descendant::*]
+    DupElim[c4@r6]
+      UnnestMap[c4@r6 := c3@r5/parent::*]
+        UnnestMap[c3@r5 := c2@r4/child::*]
+          UnnestMap[c2@r4 := c1@r3/child::xdoc]
+            Map[c1@r3 := root*(cn)]
+              SingletonScan
 )golden",
                      "=== nvm (3 instructions) ===\n"
                      R"golden(== Map[c1@r3] ==

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "api/database.h"
+#include "gen/xdoc_generator.h"
 #include "obs/stats.h"
 
 namespace natix {
@@ -116,6 +117,49 @@ TEST(ObsStatsTest, StepLoopStopsAtFirstMatch) {
       << loop->Stats()->RenderAnalyze();
   EXPECT_NE(loop->prepared().plan().nvm_listing().find("step_exists"),
             std::string::npos);
+}
+
+// Upsilon^D: the duplicate elimination after a ppd step (Sec. 4.1) is
+// fused into the step, which prunes its walk by the seen-set and so
+// makes one step tuple per result node instead of one per context. Exact
+// step-tuple counts of Figs. 6-8 on the paper's generated documents; the
+// comments give the counts of the step with a separate DupElim.
+TEST(ObsStatsTest, FusedDedupStepPrunesItsWalk) {
+  NATIX_REQUIRE_OBS();
+  const struct {
+    const char* query;
+    gen::XDocOptions doc;
+    uint64_t results;
+    uint64_t step_tuples;
+  } kPins[] = {
+      // 97,531 step tuples unfused.
+      {"/child::xdoc/descendant::*/ancestor::*/descendant::*/@id",
+       {10000, 10, 5}, 9999, 30998},
+      // 51,743 unfused.
+      {"/child::xdoc/descendant::*/ancestor::*/ancestor::*/@id",
+       {10000, 10, 5}, 100, 11200},
+  };
+  for (const auto& pin : kPins) {
+    Fixture f = Load(gen::GenerateXDoc(pin.doc));
+    auto query = CompileWithStats(f, pin.query);
+    auto nodes = query->EvaluateNodes(f.root);
+    ASSERT_TRUE(nodes.ok()) << pin.query;
+    EXPECT_EQ(nodes->size(), pin.results) << pin.query;
+    EXPECT_EQ(query->last_stats().step_tuples, pin.step_tuples)
+        << pin.query << "\n" << query->Stats()->RenderAnalyze();
+  }
+
+  // Fig. 7 at 8,000 elements: the following::* step made 26,646,645
+  // tuples for 7,994 distinct nodes; fused, it makes exactly those.
+  Fixture f = Load(gen::GenerateXDoc({8000, 6, 5}));
+  auto query = CompileWithStats(
+      f, "/child::xdoc/descendant::*/preceding-sibling::*/following::*/@id");
+  auto nodes = query->EvaluateNodes(f.root);
+  ASSERT_TRUE(nodes.ok());
+  const obs::OpStats* following =
+      query->Stats()->FindOp("UnnestMap^D[c5 := c4/following::*]");
+  ASSERT_NE(following, nullptr) << query->Stats()->RenderAnalyze();
+  EXPECT_EQ(following->tuples, 7994u);
 }
 
 // Tmp^cs (Sec. 5.2.4): a last() predicate materializes the context

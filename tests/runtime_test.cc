@@ -1,11 +1,13 @@
 // Runtime layer unit tests: values, conversions with XPath semantics,
-// atomic comparison promotion, and the register file.
+// atomic comparison promotion, the register file and the node-id set.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "runtime/conversions.h"
+#include "runtime/node_id_set.h"
 #include "runtime/register_file.h"
 #include "runtime/value.h"
 #include "storage/document_loader.h"
@@ -160,6 +162,106 @@ TEST(NodeRefTest, IdentityAndOrder) {
   EXPECT_FALSE(a == c);
   EXPECT_TRUE(a.valid());
   EXPECT_FALSE(NodeRef().valid());
+}
+
+uint64_t PackedId(uint32_t page, uint16_t slot) {
+  return storage::NodeId{page, slot}.Pack();
+}
+
+TEST(NodeIdSetTest, DuplicateInsertIsRejected) {
+  NodeIdSet set;
+  EXPECT_EQ(set.capacity(), 0u);  // nothing allocated before an insert
+  EXPECT_FALSE(set.Contains(PackedId(3, 7)));
+  EXPECT_TRUE(set.Insert(PackedId(3, 7)));
+  EXPECT_FALSE(set.Insert(PackedId(3, 7)));
+  EXPECT_TRUE(set.Insert(PackedId(3, 8)));
+  EXPECT_TRUE(set.Insert(0));  // page 0, slot 0 is an ordinary key
+  EXPECT_FALSE(set.Insert(0));
+  EXPECT_EQ(set.size(), 3u);
+  EXPECT_TRUE(set.Contains(PackedId(3, 7)));
+  EXPECT_TRUE(set.Contains(0));
+  EXPECT_FALSE(set.Contains(PackedId(7, 3)));
+}
+
+TEST(NodeIdSetTest, GrowsAcrossSeveralResizes) {
+  NodeIdSet set;
+  std::vector<size_t> capacities;
+  for (uint32_t page = 0; page < 100; ++page) {
+    for (uint16_t slot = 0; slot < 100; ++slot) {
+      ASSERT_TRUE(set.Insert(PackedId(page, slot)));
+      if (capacities.empty() || capacities.back() != set.capacity()) {
+        capacities.push_back(set.capacity());
+      }
+    }
+  }
+  EXPECT_EQ(set.size(), 10000u);
+  EXPECT_GE(capacities.size(), 8u);  // 16 slots doubled to 32768
+  EXPECT_LE(2 * set.size(), set.capacity());
+  for (uint32_t page = 0; page < 100; ++page) {
+    for (uint16_t slot = 0; slot < 100; ++slot) {
+      ASSERT_TRUE(set.Contains(PackedId(page, slot)));
+      ASSERT_FALSE(set.Insert(PackedId(page, slot)));
+    }
+    ASSERT_FALSE(set.Contains(PackedId(page, 100)));
+  }
+  EXPECT_EQ(set.size(), 10000u);
+}
+
+// The empty-slot marker is still a legal key, kept apart from the table.
+TEST(NodeIdSetTest, ReservedSentinelIsALegalKey) {
+  NodeIdSet set;
+  EXPECT_FALSE(set.Contains(NodeIdSet::kEmpty));
+  EXPECT_TRUE(set.Insert(NodeIdSet::kEmpty));
+  EXPECT_FALSE(set.Insert(NodeIdSet::kEmpty));
+  EXPECT_TRUE(set.Contains(NodeIdSet::kEmpty));
+  EXPECT_EQ(set.size(), 1u);
+  EXPECT_EQ(set.capacity(), 0u);
+  EXPECT_FALSE(set.Contains(PackedId(1, 1)));
+  for (uint16_t slot = 0; slot < 64; ++slot) set.Insert(PackedId(1, slot));
+  EXPECT_EQ(set.size(), 65u);
+  EXPECT_TRUE(set.Contains(NodeIdSet::kEmpty));
+  set.clear();
+  EXPECT_TRUE(set.empty());
+  EXPECT_FALSE(set.Contains(NodeIdSet::kEmpty));
+  EXPECT_FALSE(set.Contains(PackedId(1, 1)));
+  EXPECT_TRUE(set.Insert(NodeIdSet::kEmpty));
+}
+
+// A nested plan clears its seen-set once per outer tuple: one large fill
+// must not make every later small Open/clear cycle pay for the large
+// table. Counted in slots swept, not in time.
+TEST(NodeIdSetTest, ReuseAfterALargeFillStaysLinear) {
+  NodeIdSet set;
+  uint64_t inserted = 0;
+  for (uint32_t i = 0; i < 65536; ++i) {
+    ASSERT_TRUE(set.Insert(PackedId(i / 256, static_cast<uint16_t>(i))));
+    ++inserted;
+  }
+  set.clear();
+  EXPECT_TRUE(set.empty());
+  const uint64_t swept_by_fill = set.slots_swept();
+  // Growth re-inserts fewer than 4 slots per entry, a wipe at most 8.
+  EXPECT_LE(swept_by_fill, 12 * inserted);
+
+  constexpr uint64_t kCycles = 10000;
+  constexpr uint16_t kPerCycle = 4;
+  for (uint64_t cycle = 0; cycle < kCycles; ++cycle) {
+    for (uint16_t j = 0; j < kPerCycle; ++j) {
+      ASSERT_TRUE(set.Insert(PackedId(static_cast<uint32_t>(cycle), j)));
+    }
+    ASSERT_TRUE(set.Contains(PackedId(static_cast<uint32_t>(cycle), 0)));
+    set.clear();
+    ASSERT_FALSE(set.Contains(PackedId(static_cast<uint32_t>(cycle), 0)));
+  }
+  // The cycles sweep a small table each (16 slots for 4 entries), never
+  // the 131072 slots the large fill grew.
+  const uint64_t swept_by_cycles = set.slots_swept() - swept_by_fill;
+  EXPECT_LE(swept_by_cycles, 8 * kPerCycle * kCycles);
+  EXPECT_LE(set.capacity(), 16u);
+  // An empty set clears for free.
+  const uint64_t before = set.slots_swept();
+  for (int i = 0; i < 1000; ++i) set.clear();
+  EXPECT_EQ(set.slots_swept(), before);
 }
 
 }  // namespace
