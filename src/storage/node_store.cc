@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
-#include <iterator>
+#include <string>
 
 #include "base/logging.h"
 #include "storage/slotted_page.h"
@@ -11,23 +11,26 @@ namespace natix::storage {
 
 namespace {
 
+using node_record::DecodeHeader;
+using node_record::DecodeLink;
+using node_record::kFixedSize;
+using node_record::kFlagOverflow;
+using node_record::kOffContentLen;
+using node_record::kOffFirstAttr;
+using node_record::kOffFirstChild;
+using node_record::kOffFlags;
+using node_record::kOffKind;
+using node_record::kOffLastChild;
+using node_record::kOffNameId;
+using node_record::kOffNextSibling;
+using node_record::kOffOrder;
+using node_record::kOffParent;
+using node_record::kOffPrevSibling;
+
 constexpr uint64_t kMagic = 0x3154535849544144ull;  // "NATIXST1" (le)
 
-// Node record layout (fixed part, offsets in bytes):
-constexpr size_t kOffKind = 0;
-constexpr size_t kOffFlags = 1;
-constexpr size_t kOffNameId = 2;
-constexpr size_t kOffOrder = 6;
-constexpr size_t kOffParent = 14;
-constexpr size_t kOffFirstChild = 20;
-constexpr size_t kOffLastChild = 26;
-constexpr size_t kOffNextSibling = 32;
-constexpr size_t kOffPrevSibling = 38;
-constexpr size_t kOffFirstAttr = 44;
-constexpr size_t kOffContentLen = 50;
-constexpr size_t kFixedSize = 54;
-
-constexpr uint8_t kFlagOverflow = 0x1;
+/// What an empty slot of a page set reads: a page header with no slots.
+constexpr uint8_t kNoPage[SlottedPage::kHeaderSize] = {};
 
 /// Content at most this long is stored inline in the node record, keeping
 /// several nodes per page; longer content moves to overflow chunks.
@@ -41,13 +44,6 @@ constexpr size_t kChunkPayloadMax = SlottedPage::kMaxRecordSize -
 void EncodeLink(uint8_t* p, NodeId id) {
   std::memcpy(p, &id.page, 4);
   std::memcpy(p + 4, &id.slot, 2);
-}
-
-NodeId DecodeLink(const uint8_t* p) {
-  NodeId id;
-  std::memcpy(&id.page, p, 4);
-  std::memcpy(&id.slot, p + 4, 2);
-  return id;
 }
 
 size_t LinkOffset(NodeStore::LinkField field) {
@@ -87,18 +83,6 @@ bool ReadU64(std::string_view blob, size_t* pos, uint64_t* v) {
   std::memcpy(v, blob.data() + *pos, sizeof(*v));
   *pos += sizeof(*v);
   return true;
-}
-
-void DecodeHeader(const uint8_t* p, NodeHeader* header) {
-  header->kind = static_cast<StoredNodeKind>(p[kOffKind]);
-  std::memcpy(&header->name_id, p + kOffNameId, 4);
-  std::memcpy(&header->order, p + kOffOrder, 8);
-  header->parent = DecodeLink(p + kOffParent);
-  header->first_child = DecodeLink(p + kOffFirstChild);
-  header->last_child = DecodeLink(p + kOffLastChild);
-  header->next_sibling = DecodeLink(p + kOffNextSibling);
-  header->prev_sibling = DecodeLink(p + kOffPrevSibling);
-  header->first_attr = DecodeLink(p + kOffFirstAttr);
 }
 
 }  // namespace
@@ -368,14 +352,20 @@ StatusOr<std::string> NodeStore::StringValue(NodeId node) const {
 }
 
 NodeAccessor::NodeAccessor(const NodeStore* store) : store_(store) {
-  std::fill(std::begin(pages_), std::end(pages_), kInvalidPage);
+  for (size_t i = 0; i < kMaxPages; ++i) Clear(i);
   if (store != nullptr &&
       store->buffer_manager()->min_shard_frames() >= kMinShardFrames) {
     slots_ = kMaxPages;
   }
 }
 
-Status NodeAccessor::Record(NodeId node, RecordBytes* out) {
+void NodeAccessor::Clear(size_t slot) {
+  pages_[slot] = kInvalidPage;
+  stamps_[slot] = 0;
+  data_[slot] = kNoPage;
+}
+
+Status NodeAccessor::Miss(NodeId node, size_t min_size, RecordBytes* out) {
   if (!node.valid()) return Status::InvalidArgument("invalid node id");
   if (pages_[current_] != node.page) {
     size_t slot = 0;
@@ -392,15 +382,28 @@ Status NodeAccessor::Record(NodeId node, RecordBytes* out) {
     current_ = slot;
     stamps_[slot] = ++tick_;
   }
-  auto [p, size] = SlottedPage::Read(data_[current_], node.slot);
-  *out = RecordBytes{p, size};
-  return Status::OK();
+  if (OnCurrentPage(node, min_size, out)) return Status::OK();
+  const std::string where = "node " + std::to_string(node.page) + ":" +
+                            std::to_string(node.slot);
+  const uint8_t* page = data_[current_];
+  const uint16_t count = SlottedPage::slot_count(page);
+  if (node.slot >= count) {
+    return Status::Corruption(where + ": slot past the page's " +
+                              std::to_string(count) + " slots");
+  }
+  SlottedPage::Entry entry = SlottedPage::EntryOf(page, node.slot);
+  if (size_t{entry.offset} + entry.size > kPageSize) {
+    return Status::Corruption(where + ": record extent leaves its page");
+  }
+  return Status::Corruption(where + ": record of " +
+                            std::to_string(entry.size) +
+                            " bytes, shorter than " +
+                            std::to_string(min_size));
 }
 
 Status NodeAccessor::Fix(size_t slot, PageId id) {
   handles_[slot].Release();
-  pages_[slot] = kInvalidPage;
-  stamps_[slot] = 0;
+  Clear(slot);
   BufferManager* pool = store_->buffer_manager_for_accessor();
   StatusOr<PageHandle> fixed = pool->FixPage(id);
   if (!fixed.ok() &&
@@ -410,17 +413,15 @@ Status NodeAccessor::Fix(size_t slot, PageId id) {
     fixed = pool->FixPage(id);
   }
   if (!fixed.ok()) return fixed.status();
+  // The hit path reads directory entries below the slot count unchecked,
+  // so a page enters the set only with a directory that fits in it.
+  if (SlottedPage::slot_count(fixed->data()) > SlottedPage::kMaxSlots) {
+    return Status::Corruption("page " + std::to_string(id) +
+                              ": slot count past the page");
+  }
   handles_[slot] = std::move(fixed).value();
   pages_[slot] = id;
   data_[slot] = handles_[slot].data();
-  return Status::OK();
-}
-
-Status NodeAccessor::ReadHeader(NodeId node, NodeHeader* header) {
-  RecordBytes rec;
-  NATIX_RETURN_IF_ERROR(Record(node, &rec));
-  if (rec.size < kFixedSize) return Status::Corruption("short node record");
-  DecodeHeader(rec.data, header);
   return Status::OK();
 }
 
@@ -435,24 +436,22 @@ struct NodeAccessor::Content {
 Status NodeAccessor::Decode(NodeId node, NodeHeader* header,
                             Content* content) {
   RecordBytes rec;
-  NATIX_RETURN_IF_ERROR(Record(node, &rec));
+  NATIX_RETURN_IF_ERROR(Record(node, kFixedSize, &rec));
   const uint8_t* p = rec.data;
-  if (rec.size < kFixedSize) return Status::Corruption("short node record");
-  DecodeHeader(p, header);
   *content = Content{};
   std::memcpy(&content->length, p + kOffContentLen, 4);
-  if ((p[kOffFlags] & kFlagOverflow) != 0) {
-    if (rec.size < kFixedSize + kChunkHeaderSize) {
-      return Status::Corruption("short overflow node record");
-    }
+  const bool overflow = (p[kOffFlags] & kFlagOverflow) != 0;
+  const size_t needed =
+      kFixedSize + (overflow ? kChunkHeaderSize : content->length);
+  // A record too short for its content: the miss path says so.
+  if (rec.size < needed) return Miss(node, needed, &rec);
+  DecodeHeader(p, header);
+  if (overflow) {
     content->overflow_head = DecodeLink(p + kFixedSize);
-    return Status::OK();
+  } else {
+    content->inline_bytes = std::string_view(
+        reinterpret_cast<const char*>(p + kFixedSize), content->length);
   }
-  if (content->length > rec.size - kFixedSize) {
-    return Status::Corruption("node content overruns its record");
-  }
-  content->inline_bytes = std::string_view(
-      reinterpret_cast<const char*>(p + kFixedSize), content->length);
   return Status::OK();
 }
 
@@ -485,8 +484,7 @@ Status NodeAccessor::AppendContent(const Content& content, std::string* out) {
   NodeId chunk = content.overflow_head;
   while (chunk.valid()) {
     RecordBytes rec;
-    NATIX_RETURN_IF_ERROR(Record(chunk, &rec));
-    if (rec.size < kChunkHeaderSize) return Status::Corruption("short chunk");
+    NATIX_RETURN_IF_ERROR(Record(chunk, kChunkHeaderSize, &rec));
     chunk = DecodeLink(rec.data);
     out->append(reinterpret_cast<const char*>(rec.data + kChunkHeaderSize),
                 rec.size - kChunkHeaderSize);
@@ -545,8 +543,7 @@ Status NodeAccessor::StringValue(NodeId node, std::string* out) {
 void NodeAccessor::ReleaseAll() {
   for (size_t i = 0; i < slots_; ++i) {
     handles_[i].Release();
-    pages_[i] = kInvalidPage;
-    stamps_[i] = 0;
+    Clear(i);
   }
 }
 

@@ -2,6 +2,7 @@
 #define NATIX_STORAGE_NODE_STORE_H_
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -12,6 +13,7 @@
 #include "storage/buffer_manager.h"
 #include "storage/name_dictionary.h"
 #include "storage/paged_file.h"
+#include "storage/slotted_page.h"
 
 namespace natix::storage {
 
@@ -59,6 +61,46 @@ struct NodeHeader {
   NodeId prev_sibling;
   NodeId first_attr;
 };
+
+/// On-page layout of a node record (offsets in bytes): a fixed part, then
+/// the inline content, or the 6-byte head link of an overflow chain when
+/// the overflow flag is set. A link is a 4-byte page and a 2-byte slot.
+namespace node_record {
+inline constexpr size_t kOffKind = 0;
+inline constexpr size_t kOffFlags = 1;
+inline constexpr size_t kOffNameId = 2;
+inline constexpr size_t kOffOrder = 6;
+inline constexpr size_t kOffParent = 14;
+inline constexpr size_t kOffFirstChild = 20;
+inline constexpr size_t kOffLastChild = 26;
+inline constexpr size_t kOffNextSibling = 32;
+inline constexpr size_t kOffPrevSibling = 38;
+inline constexpr size_t kOffFirstAttr = 44;
+inline constexpr size_t kOffContentLen = 50;
+inline constexpr size_t kFixedSize = 54;
+
+inline constexpr uint8_t kFlagOverflow = 0x1;
+
+inline NodeId DecodeLink(const uint8_t* p) {
+  NodeId id;
+  std::memcpy(&id.page, p, 4);
+  std::memcpy(&id.slot, p + 4, 2);
+  return id;
+}
+
+/// Decodes the navigation header from a record's fixed part.
+inline void DecodeHeader(const uint8_t* p, NodeHeader* header) {
+  header->kind = static_cast<StoredNodeKind>(p[kOffKind]);
+  std::memcpy(&header->name_id, p + kOffNameId, 4);
+  std::memcpy(&header->order, p + kOffOrder, 8);
+  header->parent = DecodeLink(p + kOffParent);
+  header->first_child = DecodeLink(p + kOffFirstChild);
+  header->last_child = DecodeLink(p + kOffLastChild);
+  header->next_sibling = DecodeLink(p + kOffNextSibling);
+  header->prev_sibling = DecodeLink(p + kOffPrevSibling);
+  header->first_attr = DecodeLink(p + kOffFirstAttr);
+}
+}  // namespace node_record
 
 /// Decoded image of a stored node record.
 struct NodeRecord {
@@ -201,6 +243,15 @@ class NodeStore {
 /// string-value of a subtree) touch no buffer-manager state at all. The
 /// NodeStore read methods are thin wrappers over a call-local accessor.
 ///
+/// A read is split in two. The hit path, inline in the caller, serves a
+/// record on the page of the previous read: it checks the slot against
+/// the page's slot count, that the record lies inside the page and that
+/// it is at least as long as the caller needs, then hands out the bytes
+/// without building a Status. Everything else goes to one out-of-line
+/// miss function: an invalid id, a move to another page of the set, a
+/// fix, and every check that fails, each returned as a Status (a bad
+/// slot, extent or length is Corruption).
+///
 /// The set holds kMaxPages pages when every buffer shard has at least
 /// kMinShardFrames frames, else one, so a few executions cannot pin a
 /// small pool solid. A read of a page outside the set replaces the least
@@ -224,7 +275,15 @@ class NodeAccessor {
   NodeAccessor& operator=(NodeAccessor&&) = default;
 
   /// Decodes only the navigation header (no content copy).
-  Status ReadHeader(NodeId node, NodeHeader* header);
+  [[gnu::always_inline]] Status ReadHeader(NodeId node, NodeHeader* header) {
+    RecordBytes rec;
+    if (!OnCurrentPage(node, node_record::kFixedSize, &rec)) [[unlikely]] {
+      Status missed = Miss(node, node_record::kFixedSize, &rec);
+      if (!missed.ok()) return missed;
+    }
+    node_record::DecodeHeader(rec.data, header);
+    return Status::OK();
+  }
 
   /// Decodes the whole record, inline content included.
   Status ReadNode(NodeId node, NodeRecord* record);
@@ -255,9 +314,37 @@ class NodeAccessor {
 
   struct Content;
 
-  Status Record(NodeId node, RecordBytes* out);
+  /// The hit path: true, with the record in *out, when `node` is on the
+  /// page of the previous read, its slot is in the page's directory and
+  /// its record lies inside the page and holds at least `min_size` bytes.
+  /// An empty set slot reads as a page with no slots, so an invalid id
+  /// always misses.
+  [[gnu::always_inline]] bool OnCurrentPage(NodeId node, size_t min_size,
+                                            RecordBytes* out) const {
+    if (pages_[current_] != node.page) return false;
+    const uint8_t* page = data_[current_];
+    if (node.slot >= SlottedPage::slot_count(page)) return false;
+    SlottedPage::Entry entry = SlottedPage::EntryOf(page, node.slot);
+    if (entry.size < min_size ||
+        size_t{entry.offset} + entry.size > kPageSize) {
+      return false;
+    }
+    *out = RecordBytes{page + entry.offset, entry.size};
+    return true;
+  }
+  /// The miss path of every read: moves to `node`'s page (from the set,
+  /// or fixed into it), then serves the record as OnCurrentPage does, or
+  /// says why it cannot.
+  Status Miss(NodeId node, size_t min_size, RecordBytes* out);
+  /// The record of `node`, at least `min_size` bytes long.
+  Status Record(NodeId node, size_t min_size, RecordBytes* out) {
+    if (OnCurrentPage(node, min_size, out)) [[likely]] return Status::OK();
+    return Miss(node, min_size, out);
+  }
   /// Pins page `id` into `slot`, unpinning the slot's previous page.
   Status Fix(size_t slot, PageId id);
+  /// Empties set slot `slot` (its pin is already released).
+  void Clear(size_t slot);
   /// Decodes the header and content of `node`'s record; Corruption when
   /// the record is too short for them.
   Status Decode(NodeId node, NodeHeader* header, Content* content);
@@ -275,7 +362,9 @@ class NodeAccessor {
   uint64_t tick_ = 0;
   PageId pages_[kMaxPages];
   uint64_t stamps_[kMaxPages] = {};
-  const uint8_t* data_[kMaxPages] = {};
+  /// Each slot's page image; an empty slot points at a page header with
+  /// no slots.
+  const uint8_t* data_[kMaxPages];
   PageHandle handles_[kMaxPages];
 };
 

@@ -20,7 +20,6 @@ void StoreU16(uint8_t* p, uint16_t v) { std::memcpy(p, &v, sizeof(v)); }
 
 constexpr size_t kSlotCountOffset = 0;
 constexpr size_t kFreeEndOffset = 2;
-constexpr size_t kHeaderSize = 4;
 
 }  // namespace
 
@@ -29,10 +28,6 @@ void SlottedPage::Init(uint8_t* page) {
   StoreU16(page + kFreeEndOffset, static_cast<uint16_t>(kPageSize - 1));
   // kPageSize == 8192 does not fit in uint16; store free_end as
   // (kPageSize - 1) and treat it as exclusive-upper-bound-minus-one.
-}
-
-uint16_t SlottedPage::slot_count(const uint8_t* page) {
-  return LoadU16(page + kSlotCountOffset);
 }
 
 size_t SlottedPage::FreeSpace(const uint8_t* page) {
@@ -64,17 +59,13 @@ uint16_t SlottedPage::Insert(uint8_t* page, const void* record,
 std::pair<const uint8_t*, uint16_t> SlottedPage::Read(const uint8_t* page,
                                                       uint16_t slot) {
   NATIX_DCHECK(slot < slot_count(page));
-  const uint8_t* slot_entry = page + kHeaderSize + slot * kSlotEntrySize;
-  uint16_t offset = LoadU16(slot_entry);
-  uint16_t size = LoadU16(slot_entry + 2);
-  return {page + offset, size};
+  Entry entry = EntryOf(page, slot);
+  return {page + entry.offset, entry.size};
 }
 
 uint8_t* SlottedPage::MutableRecord(uint8_t* page, uint16_t slot) {
   NATIX_DCHECK(slot < slot_count(page));
-  const uint8_t* slot_entry = page + kHeaderSize + slot * kSlotEntrySize;
-  uint16_t offset = LoadU16(slot_entry);
-  return page + offset;
+  return page + EntryOf(page, slot).offset;
 }
 
 }  // namespace natix::storage

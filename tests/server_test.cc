@@ -32,9 +32,10 @@ constexpr char kBooksXml[] =
     "<price>20</price></book>"
     "</catalog>";
 
-// Quadratic axis navigation over the generated document — slow enough
-// (tens of milliseconds and up) that a 1 ms deadline reliably expires
-// mid-drain and an execution slot stays visibly occupied.
+// Axis navigation over the generated document with thousands of results
+// (well under a millisecond of execution in a release build): long
+// enough for an early abort to show in the drain and to keep an
+// execution slot visibly occupied when re-issued back to back.
 constexpr char kHeavyQuery[] = "/child::xdoc/desc::*/anc::*/desc::*/@id";
 
 struct ServerFixture {
@@ -257,14 +258,23 @@ TEST(ServerTest, StatuszReportsServerState) {
   EXPECT_NE(response->body.find("\"slow_queries\":["), std::string::npos);
 }
 
+// The deadline is checked only between drained results, so the query
+// must still have results ahead well after 1 ms. This one evaluates its
+// predicate path once per context node: in a release build the drain's
+// first check comes about 8 ms in and the whole run takes ~0.35 s.
+// kHeavyQuery finishes in under a millisecond and would race the
+// deadline.
+constexpr char kSlowFirstResultQuery[] =
+    "/child::xdoc/descendant::*[ancestor::*/descendant::*/@id = '1']/@id";
+
 TEST(ServerTest, DeadlineExceededRequestGets504) {
 #if !defined(NATIX_OBS_DISABLED)
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   const uint64_t deadline_before = metrics.deadline_exceeded.value();
 #endif
   server::HttpClient client(Fixture().server->port());
-  auto response = client.Get(
-      QueryTarget("xdoc", kHeavyQuery, "&deadline_ms=1&mode=count"));
+  auto response = client.Get(QueryTarget("xdoc", kSlowFirstResultQuery,
+                                         "&deadline_ms=1&mode=count"));
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   EXPECT_EQ(response->status, 504);
   EXPECT_NE(response->body.find("\"code\":\"DeadlineExceeded\""),
