@@ -32,47 +32,42 @@ std::string XPathSubstring(const std::string& s, double pos, double len,
   return out;
 }
 
-/// XPath lang(): climbs from the context node looking for xml:lang and
-/// compares case-insensitively, allowing a '-' suffix.
+/// XPath lang(): the xml:lang of the nearest ancestor-or-self carrying
+/// one, compared case-insensitively, allowing a '-' suffix.
 StatusOr<bool> LangMatches(const std::string& wanted, NodeRef context,
                            const EvalContext& ctx) {
   if (!context.valid()) return false;
   uint32_t xml_lang = ctx.store->names()->Lookup("xml:lang");
   if (xml_lang == storage::kInvalidNameId) return false;
 
-  storage::NodeHeader record;
-  storage::NodeId node = context.node_id();
-  NATIX_RETURN_IF_ERROR(ctx.nodes->ReadHeader(node, &record));
-  if (record.kind == storage::StoredNodeKind::kAttribute) {
-    node = record.parent;
-  }
-  while (node.valid()) {
-    NATIX_RETURN_IF_ERROR(ctx.nodes->ReadHeader(node, &record));
-    storage::NodeId attr = record.first_attr;
-    while (attr.valid()) {
-      storage::NodeHeader attr_record;
-      NATIX_RETURN_IF_ERROR(ctx.nodes->ReadHeader(attr, &attr_record));
-      if (attr_record.name_id == xml_lang) {
-        NATIX_ASSIGN_OR_RETURN(std::string value,
-                               ctx.nodes->ReadContent(attr));
-        // Case-insensitive compare; exact match or prefix before '-'.
-        auto lower = [](std::string s) {
-          for (char& c : s) {
-            if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
-          }
-          return s;
-        };
-        std::string lv = lower(value);
-        std::string lw = lower(wanted);
-        return lv == lw || (lv.size() > lw.size() &&
-                            lv.compare(0, lw.size(), lw) == 0 &&
-                            lv[lw.size()] == '-');
+  runtime::AxisCursor ancestors(ctx.nodes);
+  NATIX_RETURN_IF_ERROR(ancestors.Open(runtime::Axis::kAncestorOrSelf,
+                                       runtime::NodeTest{},
+                                       context.node_id()));
+  while (true) {
+    bool has = false;
+    NodeRef node;
+    NATIX_RETURN_IF_ERROR(ancestors.Next(&has, &node));
+    if (!has) return false;
+    NATIX_ASSIGN_OR_RETURN(
+        NodeRef attr,
+        runtime::AttributeNamed(ctx.nodes, node.node_id(), xml_lang));
+    if (!attr.valid()) continue;
+    NATIX_ASSIGN_OR_RETURN(std::string value,
+                           ctx.nodes->ReadContent(attr.node_id()));
+    // Case-insensitive compare; exact match or prefix before '-'.
+    auto lower = [](std::string s) {
+      for (char& c : s) {
+        if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
       }
-      attr = attr_record.next_sibling;
-    }
-    node = record.parent;
+      return s;
+    };
+    std::string lv = lower(value);
+    std::string lw = lower(wanted);
+    return lv == lw || (lv.size() > lw.size() &&
+                        lv.compare(0, lw.size(), lw) == 0 &&
+                        lv[lw.size()] == '-');
   }
-  return false;
 }
 
 /// Runs step loop `step` from `context`: counts the nodes passing the
@@ -80,12 +75,12 @@ StatusOr<bool> LangMatches(const std::string& wanted, NodeRef context,
 /// stopping at the first one when `exists`.
 StatusOr<uint64_t> RunStepLoop(const StepLoop& step, const Value& context,
                                bool exists, const EvalContext& ctx,
-                               std::string* text, uint64_t* tested) {
+                               uint64_t* tested) {
   if (context.kind() != runtime::ValueKind::kNode) return 0;
   runtime::AxisCursor cursor(ctx.nodes);
   NATIX_RETURN_IF_ERROR(
       cursor.Open(step.axis, step.test, context.AsNode().node_id()));
-  // = and != against a string compare string-values directly; every
+  // = and != against a string compare string-values in place; every
   // other form takes CompareAtomic's promotion rules.
   const bool string_eq =
       step.compare && step.constant.kind() == runtime::ValueKind::kString &&
@@ -100,9 +95,10 @@ StatusOr<uint64_t> RunStepLoop(const StepLoop& step, const Value& context,
     ++*tested;
     bool pass = true;
     if (string_eq) {
-      NATIX_RETURN_IF_ERROR(ctx.nodes->StringValue(node.node_id(), text));
-      pass = (*text == step.constant.AsString()) ==
-             (step.cmp == runtime::CompareOp::kEq);
+      bool equal = false;
+      NATIX_RETURN_IF_ERROR(ctx.nodes->StringValueEquals(
+          node.node_id(), step.constant.AsString(), &equal));
+      pass = equal == (step.cmp == runtime::CompareOp::kEq);
     } else if (step.compare) {
       NATIX_ASSIGN_OR_RETURN(pass,
                              runtime::CompareAtomic(step.cmp, Value::Node(node),
@@ -113,18 +109,6 @@ StatusOr<uint64_t> RunStepLoop(const StepLoop& step, const Value& context,
     if (exists) break;
   }
   return matches;
-}
-
-StatusOr<NodeRef> RootOf(NodeRef node, const EvalContext& ctx) {
-  storage::NodeId current = node.node_id();
-  storage::NodeHeader record;
-  while (true) {
-    NATIX_RETURN_IF_ERROR(ctx.nodes->ReadHeader(current, &record));
-    if (!record.parent.valid()) {
-      return NodeRef::Make(current, record.order);
-    }
-    current = record.parent;
-  }
 }
 
 }  // namespace
@@ -332,7 +316,8 @@ StatusOr<Value> Vm::Run(
       }
       case OpCode::kRoot: {
         NATIX_ASSIGN_OR_RETURN(NodeRef n, node(ins.b));
-        NATIX_ASSIGN_OR_RETURN(NodeRef root, RootOf(n, ctx));
+        NATIX_ASSIGN_OR_RETURN(NodeRef root,
+                               runtime::RootOf(ctx.nodes, n.node_id()));
         r[ins.a] = Value::Node(root);
         break;
       }
@@ -370,7 +355,7 @@ StatusOr<Value> Vm::Run(
         NATIX_ASSIGN_OR_RETURN(
             uint64_t matches,
             RunStepLoop(program_->steps[ins.c], tuple[ins.b], exists, ctx,
-                        &text_, &tested));
+                        &tested));
         r[ins.a] = exists ? Value::Boolean(matches != 0)
                           : Value::Number(static_cast<double>(matches));
         break;

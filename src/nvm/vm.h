@@ -49,8 +49,6 @@ class Vm {
  private:
   const Program* program_;
   std::vector<runtime::Value> frame_;
-  /// String-value buffer the step loops reuse across nodes and runs.
-  std::string text_;
 };
 
 }  // namespace natix::nvm

@@ -105,15 +105,8 @@ Status UnnestIterator::NextImpl(bool* has) {
 StatusOr<const std::unordered_map<std::string, NodeRef>*>
 IdDerefIterator::IndexFor(NodeRef node) {
   storage::NodeAccessor* nodes = state_->eval_ctx.nodes;
-  // Climb to the document node.
-  storage::NodeId current = node.node_id();
-  storage::NodeHeader record;
-  while (true) {
-    NATIX_RETURN_IF_ERROR(nodes->ReadHeader(current, &record));
-    if (!record.parent.valid()) break;
-    current = record.parent;
-  }
-  uint64_t root_key = current.Pack();
+  NATIX_ASSIGN_OR_RETURN(NodeRef root, runtime::RootOf(nodes, node.node_id()));
+  uint64_t root_key = root.id;
   auto it = state_->id_indexes.find(root_key);
   if (it != state_->id_indexes.end()) return &it->second;
 
@@ -122,29 +115,24 @@ IdDerefIterator::IndexFor(NodeRef node) {
   std::unordered_map<std::string, NodeRef> index;
   uint32_t id_name = state_->eval_ctx.store->names()->Lookup("id");
   if (id_name != storage::kInvalidNameId) {
-    runtime::AxisCursor cursor(nodes);
+    runtime::AxisCursor elements(nodes);
     runtime::NodeTest any_element;
     any_element.kind = runtime::NodeTest::Kind::kAnyName;
-    NATIX_RETURN_IF_ERROR(
-        cursor.Open(runtime::Axis::kDescendant, any_element, current));
+    NATIX_RETURN_IF_ERROR(elements.Open(runtime::Axis::kDescendant,
+                                        any_element, root.node_id()));
     while (true) {
       bool has = false;
       NodeRef element;
-      NATIX_RETURN_IF_ERROR(cursor.Next(&has, &element));
+      NATIX_RETURN_IF_ERROR(elements.Next(&has, &element));
       if (!has) break;
-      NATIX_RETURN_IF_ERROR(nodes->ReadHeader(element.node_id(), &record));
-      storage::NodeId attr = record.first_attr;
-      while (attr.valid()) {
-        storage::NodeHeader attr_record;
-        NATIX_RETURN_IF_ERROR(nodes->ReadHeader(attr, &attr_record));
-        if (attr_record.name_id == id_name) {
-          // The first element wins for duplicate ids.
-          NATIX_ASSIGN_OR_RETURN(std::string id, nodes->ReadContent(attr));
-          index.emplace(std::move(id), element);
-          break;
-        }
-        attr = attr_record.next_sibling;
-      }
+      NATIX_ASSIGN_OR_RETURN(
+          NodeRef attr,
+          runtime::AttributeNamed(nodes, element.node_id(), id_name));
+      if (!attr.valid()) continue;
+      // The first element wins for duplicate ids.
+      NATIX_ASSIGN_OR_RETURN(std::string id,
+                             nodes->ReadContent(attr.node_id()));
+      index.emplace(std::move(id), element);
     }
   }
   auto [inserted, _] = state_->id_indexes.emplace(root_key, std::move(index));

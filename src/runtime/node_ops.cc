@@ -119,257 +119,290 @@ std::string NodeTest::DebugString(
   return "?";
 }
 
-bool MatchesNodeTest(const NodeHeader& record, const NodeTest& test,
-                     bool principal_is_attribute) {
-  StoredNodeKind principal = principal_is_attribute
-                                 ? StoredNodeKind::kAttribute
-                                 : StoredNodeKind::kElement;
-  switch (test.kind) {
-    case NodeTest::Kind::kName:
-      return record.kind == principal && record.name_id == test.name_id &&
-             test.name_id != storage::kInvalidNameId;
-    case NodeTest::Kind::kAnyName:
-      return record.kind == principal;
-    case NodeTest::Kind::kText:
-      return record.kind == StoredNodeKind::kText;
-    case NodeTest::Kind::kComment:
-      return record.kind == StoredNodeKind::kComment;
-    case NodeTest::Kind::kPi:
-      return record.kind == StoredNodeKind::kProcessingInstruction;
-    case NodeTest::Kind::kPiTarget:
-      return record.kind == StoredNodeKind::kProcessingInstruction &&
-             record.name_id == test.name_id &&
-             test.name_id != storage::kInvalidNameId;
-    case NodeTest::Kind::kAnyKind:
-      return true;
-  }
-  return false;
-}
-
 Status AxisCursor::Open(Axis axis, const NodeTest& test, NodeId context,
                         bool reverse) {
-  axis_ = axis;
-  reverse_ = reverse && axis == Axis::kChild;
-  test_ = test;
-  context_ = context;
-  principal_is_attribute_ = axis == Axis::kAttribute;
-  current_ = kInvalidNodeId;
-  subtree_root_ = kInvalidNodeId;
-  skip_ancestor_ = kInvalidNodeId;
-  done_ = !context.valid();
-  first_ = true;
-  return Status::OK();
-}
+  walk_ = Walk::kDone;
+  down_ = right_ = up_ = kInvalidNodeId;
+  subtree_root_ = skip_ancestor_ = kInvalidNodeId;
+  if (!context.valid()) return Status::OK();
 
-StatusOr<NodeId> AxisCursor::DeepestLast(NodeId node) {
-  NodeHeader record;
-  while (true) {
-    NATIX_RETURN_IF_ERROR(nodes_->ReadHeader(node, &record));
-    if (!record.last_child.valid()) return node;
-    node = record.last_child;
+  // Resolve the test to a key over (kind << 32 | name id). The principal
+  // node kind is attribute on the attribute axis, element elsewhere.
+  constexpr uint64_t kKindMask = uint64_t{0xFF} << 32;
+  constexpr uint64_t kKeyMask = kKindMask | 0xFFFFFFFF;
+  auto kind_key = [](StoredNodeKind kind) {
+    return uint64_t{static_cast<uint8_t>(kind)} << 32;
+  };
+  const StoredNodeKind principal = axis == Axis::kAttribute
+                                       ? StoredNodeKind::kAttribute
+                                       : StoredNodeKind::kElement;
+  test_mask_ = kKindMask;
+  switch (test.kind) {
+    case NodeTest::Kind::kName:
+    case NodeTest::Kind::kPiTarget:
+      // A name absent from the dictionary matches nothing.
+      if (test.name_id == storage::kInvalidNameId) return Status::OK();
+      test_mask_ = kKeyMask;
+      test_key_ = kind_key(test.kind == NodeTest::Kind::kName
+                               ? principal
+                               : StoredNodeKind::kProcessingInstruction) |
+                  test.name_id;
+      break;
+    case NodeTest::Kind::kAnyName:
+      test_key_ = kind_key(principal);
+      break;
+    case NodeTest::Kind::kText:
+      test_key_ = kind_key(StoredNodeKind::kText);
+      break;
+    case NodeTest::Kind::kComment:
+      test_key_ = kind_key(StoredNodeKind::kComment);
+      break;
+    case NodeTest::Kind::kPi:
+      test_key_ = kind_key(StoredNodeKind::kProcessingInstruction);
+      break;
+    case NodeTest::Kind::kAnyKind:
+      test_mask_ = 0;
+      test_key_ = 0;
+      break;
   }
-}
+  const uint64_t nodes = nodes_->node_count();
+  reads_left_ = nodes > UINT64_MAX / 2 ? UINT64_MAX : 2 * nodes;
 
-Status AxisCursor::Step() {
-  // Produces the next raw node of the axis walk into current_/record_, or
-  // sets done_. All per-axis iteration logic lives here; Next() applies
-  // the node test on top.
-  NodeHeader ctx_record;
-
-  if (first_) {
-    first_ = false;
-    NATIX_RETURN_IF_ERROR(nodes_->ReadHeader(context_, &ctx_record));
-    const bool ctx_is_attribute =
-        ctx_record.kind == StoredNodeKind::kAttribute;
-    switch (axis_) {
-      case Axis::kSelf:
-        current_ = context_;
-        record_ = ctx_record;
-        return Status::OK();
-      case Axis::kChild:
-        current_ = ctx_is_attribute ? kInvalidNodeId
-                   : reverse_       ? ctx_record.last_child
-                                    : ctx_record.first_child;
-        break;
-      case Axis::kAttribute:
-        current_ = ctx_record.first_attr;
-        break;
-      case Axis::kParent:
-      case Axis::kAncestor:
-        current_ = ctx_record.parent;
-        break;
-      case Axis::kAncestorOrSelf:
-        current_ = context_;
-        record_ = ctx_record;
-        return Status::OK();
-      case Axis::kDescendantOrSelf:
-        subtree_root_ = context_;
-        current_ = context_;
-        record_ = ctx_record;
-        return Status::OK();
-      case Axis::kDescendant:
-        subtree_root_ = context_;
-        current_ = ctx_is_attribute ? kInvalidNodeId : ctx_record.first_child;
-        break;
-      case Axis::kFollowingSibling:
-        current_ =
-            ctx_is_attribute ? kInvalidNodeId : ctx_record.next_sibling;
-        break;
-      case Axis::kPrecedingSibling:
-        current_ =
-            ctx_is_attribute ? kInvalidNodeId : ctx_record.prev_sibling;
-        break;
-      case Axis::kFollowing: {
-        if (ctx_is_attribute) {
-          // Following of an attribute starts with the owning element's
-          // subtree (those nodes are after the attribute in document
-          // order and are not its descendants).
-          NodeHeader owner;
-          NATIX_RETURN_IF_ERROR(
-              nodes_->ReadHeader(ctx_record.parent, &owner));
-          if (owner.first_child.valid()) {
-            current_ = owner.first_child;
-            break;
-          }
-          // Fall through to climbing from the owner.
-          ctx_record = owner;
-        }
-        // Skip the context subtree: climb until a next sibling exists.
-        NodeHeader walk = ctx_record;
-        current_ = kInvalidNodeId;
-        while (true) {
-          if (walk.next_sibling.valid()) {
-            current_ = walk.next_sibling;
-            break;
-          }
-          if (!walk.parent.valid()) break;
-          NATIX_RETURN_IF_ERROR(nodes_->ReadHeader(walk.parent, &walk));
-        }
-        break;
-      }
-      case Axis::kPreceding: {
-        NodeId base = ctx_is_attribute ? ctx_record.parent : context_;
-        NodeHeader base_record;
-        NATIX_RETURN_IF_ERROR(nodes_->ReadHeader(base, &base_record));
-        skip_ancestor_ = base_record.parent;
-        // Position the walk at `base` and run the common reverse step
-        // below by falling into the !first_ path.
-        current_ = base;
-        record_ = base_record;
-        return Step();  // not first_ anymore: performs one reverse step
-      }
-    }
-    if (!current_.valid()) {
-      done_ = true;
-      return Status::OK();
-    }
-    return nodes_->ReadHeader(current_, &record_);
-  }
-
-  // Subsequent steps.
-  switch (axis_) {
+  // Self, ancestor-or-self and descendant-or-self start at the context
+  // itself; every other walk starts from a link of its header.
+  switch (axis) {
     case Axis::kSelf:
-    case Axis::kParent:
-      done_ = true;
+      down_ = context;
+      walk_ = Walk::kUpwardOnce;
       return Status::OK();
+    case Axis::kAncestorOrSelf:
+      down_ = context;
+      walk_ = Walk::kUpward;
+      return Status::OK();
+    case Axis::kDescendantOrSelf:
+      down_ = subtree_root_ = context;
+      walk_ = Walk::kPreorder;
+      return Status::OK();
+    default:
+      break;
+  }
+  NodeHeader ctx;
+  NATIX_RETURN_IF_ERROR(Read(context, &ctx));
+  // Attributes have no children and no siblings on the tree axes.
+  const bool ctx_is_attribute = ctx.kind == StoredNodeKind::kAttribute;
+  switch (axis) {
     case Axis::kChild:
-      current_ = reverse_ ? record_.prev_sibling : record_.next_sibling;
+      if (!ctx_is_attribute) {
+        down_ = reverse ? ctx.last_child : ctx.first_child;
+      }
+      walk_ = reverse ? Walk::kReverseSiblings : Walk::kSiblings;
       break;
     case Axis::kAttribute:
+      down_ = ctx.first_attr;
+      walk_ = Walk::kSiblings;
+      break;
     case Axis::kFollowingSibling:
-      current_ = record_.next_sibling;
+      if (!ctx_is_attribute) down_ = ctx.next_sibling;
+      walk_ = Walk::kSiblings;
       break;
     case Axis::kPrecedingSibling:
-      current_ = record_.prev_sibling;
+      if (!ctx_is_attribute) down_ = ctx.prev_sibling;
+      walk_ = Walk::kReverseSiblings;
+      break;
+    case Axis::kParent:
+      down_ = ctx.parent;
+      walk_ = Walk::kUpwardOnce;
       break;
     case Axis::kAncestor:
-    case Axis::kAncestorOrSelf:
-      current_ = record_.parent;
+      down_ = ctx.parent;
+      walk_ = Walk::kUpward;
       break;
     case Axis::kDescendant:
-    case Axis::kDescendantOrSelf: {
-      // Preorder within the subtree, using parent links to climb out of
-      // exhausted branches (no explicit stack).
-      if (record_.first_child.valid()) {
-        current_ = record_.first_child;
-        break;
-      }
-      NodeId node = current_;
-      NodeHeader record = record_;
-      current_ = kInvalidNodeId;
-      while (node != subtree_root_) {
-        if (record.next_sibling.valid()) {
-          current_ = record.next_sibling;
-          break;
-        }
-        node = record.parent;
-        if (!node.valid()) break;
-        NATIX_RETURN_IF_ERROR(nodes_->ReadHeader(node, &record));
-      }
+      subtree_root_ = context;
+      if (!ctx_is_attribute) down_ = ctx.first_child;
+      walk_ = Walk::kPreorder;
       break;
-    }
-    case Axis::kFollowing: {
-      // Unbounded preorder successor: descend first, else climb.
-      if (record_.first_child.valid()) {
-        current_ = record_.first_child;
-        break;
+    case Axis::kFollowing:
+      // Everything after the context's subtree in document order; for an
+      // attribute, that starts with the owning element's children.
+      if (ctx_is_attribute) {
+        NodeId owner = ctx.parent;
+        NATIX_RETURN_IF_ERROR(Read(owner, &ctx));
+        down_ = ctx.first_child;
       }
-      NodeId node = current_;
-      NodeHeader record = record_;
-      current_ = kInvalidNodeId;
-      while (true) {
-        if (record.next_sibling.valid()) {
-          current_ = record.next_sibling;
-          break;
-        }
-        node = record.parent;
-        if (!node.valid()) break;
-        NATIX_RETURN_IF_ERROR(nodes_->ReadHeader(node, &record));
-      }
+      right_ = ctx.next_sibling;
+      up_ = ctx.parent;
+      walk_ = Walk::kPreorder;
       break;
-    }
     case Axis::kPreceding: {
-      // Reverse preorder, skipping ancestors of the context.
-      while (true) {
-        if (record_.prev_sibling.valid()) {
-          NATIX_ASSIGN_OR_RETURN(current_, DeepestLast(record_.prev_sibling));
-          NATIX_RETURN_IF_ERROR(nodes_->ReadHeader(current_, &record_));
-          return Status::OK();
-        }
-        current_ = record_.parent;
-        if (!current_.valid()) {
-          done_ = true;
-          return Status::OK();
-        }
-        NATIX_RETURN_IF_ERROR(nodes_->ReadHeader(current_, &record_));
-        if (current_ == skip_ancestor_) {
-          skip_ancestor_ = record_.parent;
-          continue;  // ancestors are excluded from the preceding axis
-        }
-        return Status::OK();
+      // Everything before the context in document order except its
+      // ancestors; an attribute's owner is one of them.
+      if (ctx_is_attribute) {
+        NodeId owner = ctx.parent;
+        NATIX_RETURN_IF_ERROR(Read(owner, &ctx));
       }
+      down_ = ctx.prev_sibling;
+      up_ = skip_ancestor_ = ctx.parent;
+      walk_ = Walk::kPreceding;
+      break;
     }
+    case Axis::kSelf:
+    case Axis::kAncestorOrSelf:
+    case Axis::kDescendantOrSelf:
+      break;  // handled above
   }
-
-  if (!current_.valid()) {
-    done_ = true;
-    return Status::OK();
-  }
-  return nodes_->ReadHeader(current_, &record_);
+  return Status::OK();
 }
 
-Status AxisCursor::Next(bool* has, NodeRef* out) {
-  *has = false;
-  while (!done_) {
-    NATIX_RETURN_IF_ERROR(Step());
-    if (done_) break;
-    if (MatchesNodeTest(record_, test_, principal_is_attribute_)) {
+Status AxisCursor::LinkCycle() const {
+  return Status::Corruption(
+      "axis walk read more nodes than the store holds: a link cycle");
+}
+
+template <bool kReverse>
+Status AxisCursor::NextSibling(bool* has, NodeRef* out) {
+  NodeId node = down_;
+  while (node.valid()) {
+    NodeHeader h;
+    NATIX_RETURN_IF_ERROR(Read(node, &h));
+    const NodeId visited = node;
+    node = kReverse ? h.prev_sibling : h.next_sibling;
+    if (Passes(h)) {
+      down_ = node;
       *has = true;
-      *out = NodeRef::Make(current_, record_.order);
+      *out = NodeRef::Make(visited, h.order);
       return Status::OK();
     }
   }
+  down_ = kInvalidNodeId;
+  *has = false;
   return Status::OK();
+}
+
+Status AxisCursor::NextPreorder(bool* has, NodeRef* out) {
+  NodeId down = down_;
+  NodeId right = right_;
+  NodeId up = up_;
+  while (true) {
+    NodeId node = down.valid() ? down : right;
+    // The subtree is finished: climb to the first ancestor with a next
+    // sibling, never past the subtree root.
+    while (!node.valid() && up.valid() && up != subtree_root_) {
+      NodeHeader a;
+      NATIX_RETURN_IF_ERROR(Read(up, &a));
+      node = a.next_sibling;
+      up = a.parent;
+    }
+    if (!node.valid()) break;
+    NodeHeader h;
+    NATIX_RETURN_IF_ERROR(Read(node, &h));
+    down = h.first_child;
+    if (node == subtree_root_) {
+      right = up = kInvalidNodeId;
+    } else {
+      right = h.next_sibling;
+      up = h.parent;
+    }
+    if (Passes(h)) {
+      down_ = down;
+      right_ = right;
+      up_ = up;
+      *has = true;
+      *out = NodeRef::Make(node, h.order);
+      return Status::OK();
+    }
+  }
+  down_ = right_ = up_ = kInvalidNodeId;
+  *has = false;
+  return Status::OK();
+}
+
+template <bool kOnce>
+Status AxisCursor::NextUpward(bool* has, NodeRef* out) {
+  NodeId node = down_;
+  while (node.valid()) {
+    NodeHeader h;
+    NATIX_RETURN_IF_ERROR(Read(node, &h));
+    const NodeId visited = node;
+    node = kOnce ? kInvalidNodeId : h.parent;
+    if (Passes(h)) {
+      down_ = node;
+      *has = true;
+      *out = NodeRef::Make(visited, h.order);
+      return Status::OK();
+    }
+  }
+  down_ = kInvalidNodeId;
+  *has = false;
+  return Status::OK();
+}
+
+Status AxisCursor::NextPreceding(bool* has, NodeRef* out) {
+  NodeId prev = down_;
+  NodeId up = up_;
+  while (true) {
+    NodeId node;
+    NodeHeader h;
+    if (prev.valid()) {
+      // The previous sibling's subtree ends, in document order, with its
+      // deepest last descendant: reverse preorder starts there.
+      node = prev;
+      NATIX_RETURN_IF_ERROR(Read(node, &h));
+      while (h.last_child.valid()) {
+        node = h.last_child;
+        NATIX_RETURN_IF_ERROR(Read(node, &h));
+      }
+    } else if (up.valid()) {
+      node = up;
+      NATIX_RETURN_IF_ERROR(Read(node, &h));
+      if (node == skip_ancestor_) {
+        // An ancestor of the context: not on the axis, but its preceding
+        // siblings are.
+        skip_ancestor_ = h.parent;
+        prev = h.prev_sibling;
+        up = h.parent;
+        continue;
+      }
+    } else {
+      break;
+    }
+    prev = h.prev_sibling;
+    up = h.parent;
+    if (Passes(h)) {
+      down_ = prev;
+      up_ = up;
+      *has = true;
+      *out = NodeRef::Make(node, h.order);
+      return Status::OK();
+    }
+  }
+  down_ = up_ = kInvalidNodeId;
+  *has = false;
+  return Status::OK();
+}
+
+StatusOr<NodeRef> RootOf(storage::NodeAccessor* nodes, NodeId node) {
+  NodeHeader h;
+  for (uint64_t left = nodes->node_count(); left > 0; --left) {
+    NATIX_RETURN_IF_ERROR(nodes->ReadHeader(node, &h));
+    if (!h.parent.valid()) return NodeRef::Make(node, h.order);
+    node = h.parent;
+  }
+  return Status::Corruption(
+      "root climb read more nodes than the store holds: a link cycle");
+}
+
+StatusOr<NodeRef> AttributeNamed(storage::NodeAccessor* nodes,
+                                 NodeId element, uint32_t name_id) {
+  AxisCursor attrs(nodes);
+  NodeTest test;
+  test.kind = NodeTest::Kind::kName;
+  test.name_id = name_id;
+  NATIX_RETURN_IF_ERROR(attrs.Open(Axis::kAttribute, test, element));
+  bool has = false;
+  NodeRef attr;
+  NATIX_RETURN_IF_ERROR(attrs.Next(&has, &attr));
+  return has ? attr : NodeRef{};
 }
 
 }  // namespace natix::runtime

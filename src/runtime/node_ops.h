@@ -69,21 +69,33 @@ struct NodeTest {
   std::string DebugString(const storage::NameDictionary* names) const;
 };
 
-/// Whether `header` passes `test` on an axis whose principal node type is
-/// attribute (`principal_is_attribute`) or element.
-bool MatchesNodeTest(const storage::NodeHeader& header, const NodeTest& test,
-                     bool principal_is_attribute);
-
 /// Streaming cursor over one axis from one context node, filtered by a
-/// node test — the storage-level navigation primitive behind the
-/// unnest-map operator and the NVM navigation commands (Sec. 5.2.2).
+/// node test: the storage-level navigation primitive behind the
+/// unnest-map operator, the NVM step loops and the id() index
+/// (Sec. 5.2.2).
 ///
 /// Nodes are produced in axis order: document order for forward axes,
-/// reverse document order for reverse axes. A step reads O(1) node
-/// headers (descendant walks use parent links, and reverse walks use the
-/// stored last-child links), each through the execution's page set: a
-/// header on a page of the set costs no buffer-manager call. The cursor
-/// itself holds only its position (decoded header copies), never a pin.
+/// reverse document order for reverse axes. Open picks one of four walks
+/// (axis kernels), each a tight loop in Next:
+///   - siblings: child (forward or reverse), attribute, following- and
+///     preceding-sibling follow one sibling link;
+///   - preorder: descendant, descendant-or-self and following go down
+///     first-child links and climb parent links out of finished
+///     subtrees;
+///   - upward: parent, ancestor, ancestor-or-self (and self) follow
+///     parent links;
+///   - preceding: reverse preorder through previous-sibling links and
+///     deepest-last-child descents, skipping the context's ancestors.
+/// Each loop decodes a node into a local header, so the inlined read
+/// loads only the fields that loop uses, and tests it against the node
+/// test resolved at Open to a (kind, name) key. A step reads O(1) node
+/// headers, each through the execution's page set. The cursor keeps only
+/// its walk position, never a header copy or a pin.
+///
+/// A walk reads each node's header at most twice (once when it moves
+/// onto the node, once when it climbs back through it), so a walk that
+/// reads more than twice the store's node count is following a link
+/// cycle: Next returns Corruption instead of running forever.
 class AxisCursor {
  public:
   explicit AxisCursor(storage::NodeAccessor* nodes) : nodes_(nodes) {}
@@ -96,36 +108,96 @@ class AxisCursor {
               bool reverse = false);
 
   /// Produces the next matching node. Sets *has to false at the end.
-  Status Next(bool* has, NodeRef* out);
+  Status Next(bool* has, NodeRef* out) {
+    switch (walk_) {
+      case Walk::kSiblings:
+        return NextSibling<false>(has, out);
+      case Walk::kReverseSiblings:
+        return NextSibling<true>(has, out);
+      case Walk::kPreorder:
+        return NextPreorder(has, out);
+      case Walk::kUpward:
+        return NextUpward<false>(has, out);
+      case Walk::kUpwardOnce:
+        return NextUpward<true>(has, out);
+      case Walk::kPreceding:
+        return NextPreceding(has, out);
+      case Walk::kDone:
+        break;
+    }
+    *has = false;
+    return Status::OK();
+  }
 
   /// Descendant axes: the walk does not enter the subtree of the node
   /// Next produced last; it goes on with that node's following sibling.
-  void SkipChildren() { record_.first_child = storage::kInvalidNodeId; }
+  void SkipChildren() { down_ = storage::kInvalidNodeId; }
 
  private:
-  /// Advances the raw axis walk by one node (pre node-test), storing it in
-  /// current_/record_. Sets done_ when exhausted.
-  Status Step();
+  enum class Walk : uint8_t {
+    kDone,
+    kSiblings,
+    kReverseSiblings,
+    kPreorder,
+    kUpward,
+    kUpwardOnce,  // self and parent: the first node of an upward walk
+    kPreceding
+  };
 
-  /// Deepest last descendant of `node` (the node itself if childless).
-  StatusOr<storage::NodeId> DeepestLast(storage::NodeId node);
+  /// Whether `header` passes the node test resolved at Open.
+  bool Passes(const storage::NodeHeader& header) const {
+    const uint64_t key = uint64_t{static_cast<uint8_t>(header.kind)} << 32 |
+                         header.name_id;
+    return (key & test_mask_) == test_key_;
+  }
+
+  /// Reads `node`'s header, charging one read against the walk's bound.
+  [[gnu::always_inline]] Status Read(storage::NodeId node,
+                                     storage::NodeHeader* header) {
+    if (reads_left_ == 0) [[unlikely]] return LinkCycle();
+    --reads_left_;
+    return nodes_->ReadHeader(node, header);
+  }
+  Status LinkCycle() const;
+
+  template <bool kReverse>
+  Status NextSibling(bool* has, NodeRef* out);
+  Status NextPreorder(bool* has, NodeRef* out);
+  template <bool kOnce>
+  Status NextUpward(bool* has, NodeRef* out);
+  Status NextPreceding(bool* has, NodeRef* out);
 
   storage::NodeAccessor* nodes_;
-  Axis axis_ = Axis::kSelf;
-  bool reverse_ = false;
-  NodeTest test_;
-  bool principal_is_attribute_ = false;
+  Walk walk_ = Walk::kDone;
+  /// The node test as a key over (kind << 32 | name id) and the mask
+  /// applied before comparing: node() masks everything, "*" and the kind
+  /// tests mask the name.
+  uint64_t test_key_ = 0;
+  uint64_t test_mask_ = 0;
+  uint64_t reads_left_ = 0;
 
-  storage::NodeId context_;
-  storage::NodeId current_;
-  storage::NodeHeader record_;       // header of current_
-  bool done_ = true;
-  bool first_ = true;
-  /// For kDescendant*: the subtree root we must not escape.
+  /// The next node to visit (sibling and upward walks), or the walk's
+  /// next move down: the first child of the node visited last (preorder)
+  /// or the previous sibling to descend from (preceding).
+  storage::NodeId down_;
+  /// Preorder: the next sibling of the node visited last.
+  storage::NodeId right_;
+  /// Preorder and preceding: the parent of the node visited last.
+  storage::NodeId up_;
+  /// Descendant axes: the context, whose subtree the walk never leaves.
   storage::NodeId subtree_root_;
-  /// For kPreceding: the next ancestor of the context to skip.
+  /// Preceding: the next ancestor of the context to skip.
   storage::NodeId skip_ancestor_;
 };
+
+/// The root of `node`'s tree: its topmost ancestor-or-self, the
+/// document node of a loaded document. Corruption when the climb reads
+/// more headers than the store has nodes (a parent-link cycle).
+StatusOr<NodeRef> RootOf(storage::NodeAccessor* nodes, storage::NodeId node);
+
+/// The first attribute of `element` named `name_id`, or an invalid ref.
+StatusOr<NodeRef> AttributeNamed(storage::NodeAccessor* nodes,
+                                 storage::NodeId element, uint32_t name_id);
 
 /// Document-order comparison key of a node reference (smaller == earlier).
 inline uint64_t DocOrderKey(const NodeRef& node) { return node.order; }

@@ -157,6 +157,7 @@ Status NodeStore::LoadExisting() {
     return Status::Corruption("bad catalog header");
   }
   documents_.clear();
+  node_count_ = 0;
   for (uint32_t i = 0; i < doc_count; ++i) {
     DocumentInfo info;
     uint32_t name_len;
@@ -177,7 +178,13 @@ Status NodeStore::LoadExisting() {
     if (!ReadU64(rest, &pos, &info.node_count)) {
       return Status::Corruption("bad catalog entry");
     }
+    node_count_ += std::min(info.node_count, UINT64_MAX - node_count_);
     documents_.push_back(std::move(info));
+  }
+  // Walks bound themselves by this count, so it may not claim more
+  // records than the file's pages can hold.
+  if (node_count_ > uint64_t{file_->page_count()} * SlottedPage::kMaxSlots) {
+    return Status::Corruption("catalog counts more nodes than the file holds");
   }
   return Status::OK();
 }
@@ -475,59 +482,65 @@ Status NodeAccessor::ReadNode(NodeId node, NodeRecord* record) {
   return Status::OK();
 }
 
-Status NodeAccessor::AppendContent(const Content& content, std::string* out) {
+template <typename Piece>
+Status NodeAccessor::VisitContent(const Content& content, Piece& piece,
+                                  bool* more) {
+  *more = true;
   if (!content.overflow_head.valid()) {
-    out->append(content.inline_bytes);
+    *more = piece(content.inline_bytes);
     return Status::OK();
   }
-  out->reserve(out->size() + content.length);
+  // A chain holds exactly the record's content length in nonempty
+  // chunks, so one that runs longer (a cycle, say) is corrupt.
+  uint64_t left = content.length;
   NodeId chunk = content.overflow_head;
-  while (chunk.valid()) {
+  while (chunk.valid() && *more) {
     RecordBytes rec;
     NATIX_RETURN_IF_ERROR(Record(chunk, kChunkHeaderSize, &rec));
+    const size_t size = rec.size - kChunkHeaderSize;
+    if (size == 0 || size > left) {
+      return Status::Corruption("overflow chain longer than its content");
+    }
+    left -= size;
     chunk = DecodeLink(rec.data);
-    out->append(reinterpret_cast<const char*>(rec.data + kChunkHeaderSize),
-                rec.size - kChunkHeaderSize);
+    *more = piece(std::string_view(
+        reinterpret_cast<const char*>(rec.data + kChunkHeaderSize), size));
   }
   return Status::OK();
 }
 
-StatusOr<std::string> NodeAccessor::ReadContent(NodeId node) {
+template <typename Piece>
+Status NodeAccessor::VisitStringValue(NodeId node, Piece& piece) {
   NodeHeader header;
   Content content;
-  NATIX_RETURN_IF_ERROR(Decode(node, &header, &content));
-  std::string out;
-  NATIX_RETURN_IF_ERROR(AppendContent(content, &out));
-  return out;
-}
-
-StatusOr<std::string> NodeAccessor::StringValue(NodeId node) {
-  std::string out;
-  NATIX_RETURN_IF_ERROR(StringValue(node, &out));
-  return out;
-}
-
-Status NodeAccessor::StringValue(NodeId node, std::string* out) {
-  out->clear();
-  NodeHeader header;
-  Content content;
+  bool more = true;
   NATIX_RETURN_IF_ERROR(Decode(node, &header, &content));
   if (header.kind != StoredNodeKind::kElement &&
       header.kind != StoredNodeKind::kDocument) {
-    return AppendContent(content, out);
+    return VisitContent(content, piece, &more);
   }
-  // Concatenate descendant text nodes via an explicit traversal.
+  // The descendant text nodes in document order, through an explicit
+  // stack of siblings to resume at. The walk decodes each descendant
+  // once, so one that decodes more nodes than the store holds is on a
+  // link cycle.
+  uint64_t left = node_count();
   NodeId current = header.first_child;
   std::vector<NodeId> stack;
-  while (current.valid() || !stack.empty()) {
+  while (more && (current.valid() || !stack.empty())) {
     if (!current.valid()) {
       current = stack.back();
       stack.pop_back();
       continue;
     }
+    if (left == 0) {
+      return Status::Corruption(
+          "string-value walk read more nodes than the store holds: a link "
+          "cycle");
+    }
+    --left;
     NATIX_RETURN_IF_ERROR(Decode(current, &header, &content));
     if (header.kind == StoredNodeKind::kText) {
-      NATIX_RETURN_IF_ERROR(AppendContent(content, out));
+      NATIX_RETURN_IF_ERROR(VisitContent(content, piece, &more));
     }
     if (header.kind == StoredNodeKind::kElement &&
         header.first_child.valid()) {
@@ -537,6 +550,45 @@ Status NodeAccessor::StringValue(NodeId node, std::string* out) {
       current = header.next_sibling;
     }
   }
+  return Status::OK();
+}
+
+StatusOr<std::string> NodeAccessor::ReadContent(NodeId node) {
+  NodeHeader header;
+  Content content;
+  NATIX_RETURN_IF_ERROR(Decode(node, &header, &content));
+  std::string out;
+  auto append = [&out](std::string_view piece) {
+    out.append(piece);
+    return true;
+  };
+  bool more;
+  NATIX_RETURN_IF_ERROR(VisitContent(content, append, &more));
+  return out;
+}
+
+StatusOr<std::string> NodeAccessor::StringValue(NodeId node) {
+  std::string out;
+  auto append = [&out](std::string_view piece) {
+    out.append(piece);
+    return true;
+  };
+  NATIX_RETURN_IF_ERROR(VisitStringValue(node, append));
+  return out;
+}
+
+Status NodeAccessor::StringValueEquals(NodeId node, std::string_view text,
+                                       bool* equal) {
+  // Match each piece against the next bytes of `text`, in place.
+  size_t matched = 0;
+  bool same = true;
+  auto compare = [&](std::string_view piece) {
+    same = text.substr(matched, piece.size()) == piece;
+    matched += piece.size();
+    return same;
+  };
+  NATIX_RETURN_IF_ERROR(VisitStringValue(node, compare));
+  *equal = same && matched == text.size();
   return Status::OK();
 }
 
@@ -563,6 +615,7 @@ Status NodeStore::AddDocument(const DocumentInfo& info) {
     }
   }
   documents_.push_back(info);
+  node_count_ += std::min(info.node_count, UINT64_MAX - node_count_);
   return Status::OK();
 }
 

@@ -204,6 +204,9 @@ class NodeStore {
   /// Looks a document up by name; kNotFound when absent.
   StatusOr<DocumentInfo> FindDocument(std::string_view name) const;
   const std::vector<DocumentInfo>& documents() const { return documents_; }
+  /// The sum of the catalog's node counts: the bound every walk that
+  /// follows links checks its reads against.
+  uint64_t node_count() const { return node_count_; }
 
   /// Persists catalog, dictionary, superblock and all dirty pages.
   Status Flush();
@@ -231,6 +234,7 @@ class NodeStore {
   std::unique_ptr<BufferManager> buffer_;
   NameDictionary names_;
   std::vector<DocumentInfo> documents_;
+  uint64_t node_count_ = 0;
   /// Page currently receiving node inserts.
   PageId fill_page_ = kInvalidPage;
   uint64_t next_order_key_ = 0;
@@ -295,9 +299,15 @@ class NodeAccessor {
   /// XPath string-value: for elements/documents, the concatenation of all
   /// descendant text nodes; for other kinds the content itself.
   StatusOr<std::string> StringValue(NodeId node);
-  /// The same into *out (replacing its contents), so a caller comparing
-  /// many string-values can reuse one buffer.
-  Status StringValue(NodeId node, std::string* out);
+  /// Whether the node's string-value equals `text`, compared in place
+  /// against the record bytes (overflow chunks included) without copying
+  /// it; the walk stops at the first difference.
+  Status StringValueEquals(NodeId node, std::string_view text, bool* equal);
+
+  /// The store's node count (NodeStore::node_count).
+  uint64_t node_count() const {
+    return store_ == nullptr ? 0 : store_->node_count();
+  }
 
   /// Unpins every page of the set.
   void ReleaseAll();
@@ -348,8 +358,16 @@ class NodeAccessor {
   /// Decodes the header and content of `node`'s record; Corruption when
   /// the record is too short for them.
   Status Decode(NodeId node, NodeHeader* header, Content* content);
-  /// Appends `content` to *out, following its overflow chain.
-  Status AppendContent(const Content& content, std::string* out);
+  /// Calls `piece` on each run of `content`'s bytes in order, following
+  /// its overflow chain, until `piece` returns false (then *more is
+  /// false). Corruption when the chain runs past the content length.
+  template <typename Piece>
+  Status VisitContent(const Content& content, Piece& piece, bool* more);
+  /// VisitContent over the node's string-value: its own content, or its
+  /// descendant text nodes in document order. Corruption when the walk
+  /// reads more nodes than the store holds.
+  template <typename Piece>
+  Status VisitStringValue(NodeId node, Piece& piece);
 
   const NodeStore* store_ = nullptr;
   /// Slots in use: kMaxPages, or 1 on a small pool.

@@ -6,11 +6,14 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "api/database.h"
 #include "dom/dom.h"
 #include "dom/dom_builder.h"
+#include "interp/evaluator.h"
 #include "storage/document_loader.h"
 #include "storage/stored_node.h"
 
@@ -56,17 +59,26 @@ class AxisConformance {
   const Node* DomNode(uint64_t order) const {
     return dom_by_order_.at(order);
   }
+  const dom::Document* dom() const { return doc_.get(); }
+  /// The dictionary id of `name`, or kInvalidNameId.
+  uint32_t NameId(const std::string& name) const {
+    return store_->names()->Lookup(name);
+  }
   storage::NodeId StoreNode(uint64_t order) const {
     return store_by_order_.at(order);
   }
 
   /// Runs the cursor and returns the produced order ranks (in cursor
-  /// order).
-  std::vector<uint64_t> RunCursor(Axis axis, const NodeTest& test,
-                                  uint64_t context_order) const {
+  /// order). `skip_children`, when set, is asked after each produced node
+  /// whether the walk should skip that node's subtree.
+  std::vector<uint64_t> RunCursor(
+      Axis axis, const NodeTest& test, uint64_t context_order,
+      bool reverse = false,
+      const std::function<bool(uint64_t)>& skip_children = nullptr) const {
     storage::NodeAccessor nodes(store_.get());
     AxisCursor cursor(&nodes);
-    NATIX_CHECK(cursor.Open(axis, test, StoreNode(context_order)).ok());
+    NATIX_CHECK(
+        cursor.Open(axis, test, StoreNode(context_order), reverse).ok());
     std::vector<uint64_t> out;
     while (true) {
       bool has = false;
@@ -74,8 +86,22 @@ class AxisConformance {
       NATIX_CHECK(cursor.Next(&has, &node).ok());
       if (!has) break;
       out.push_back(node.order);
+      if (skip_children && skip_children(node.order)) cursor.SkipChildren();
     }
     return out;
+  }
+
+  /// `query` evaluated by interp::Evaluator from the context node of
+  /// rank `context_order`: the result's ranks in document order.
+  std::vector<uint64_t> Interpret(const std::string& query,
+                                  uint64_t context_order) const {
+    auto result = interp::Evaluator::Run(doc_.get(), query,
+                                         DomNode(context_order),
+                                         interp::EvaluatorOptions());
+    NATIX_CHECK(result.ok());
+    std::vector<uint64_t> orders;
+    for (const Node* n : result->nodes) orders.push_back(n->order);
+    return orders;
   }
 
   /// Reference axis evaluation over the DOM; returns order ranks in axis
@@ -241,6 +267,168 @@ TEST_P(AxisConformanceTest, EveryAxisFromEveryNodeMatchesReference) {
 
 INSTANTIATE_TEST_SUITE_P(Documents, AxisConformanceTest,
                          ::testing::ValuesIn(kDocuments));
+
+// The axis kernels against interp::Evaluator: every axis, every kind of
+// node test, from every node of a document holding every node kind.
+constexpr char kMatrixDocument[] =
+    "<?t top?><!--c0--><r x='1' y='2'><a id='1'>t1<b/><!--c1--><?t d1?>"
+    "<?u d2?><a>t2<b x='3'>t3</b></a></a>t4<b><a/><?t d3?></b><!--c2-->"
+    "</r><!--c3--><?u d4?>";
+
+struct MatrixTest {
+  const char* text;  // as written in a location step
+  NodeTest::Kind kind;
+  const char* name;  // resolved through the dictionary, or null
+};
+
+constexpr MatrixTest kMatrixTests[] = {
+    {"a", NodeTest::Kind::kName, "a"},
+    {"x", NodeTest::Kind::kName, "x"},
+    {"*", NodeTest::Kind::kAnyName, nullptr},
+    {"text()", NodeTest::Kind::kText, nullptr},
+    {"comment()", NodeTest::Kind::kComment, nullptr},
+    {"processing-instruction()", NodeTest::Kind::kPi, nullptr},
+    {"processing-instruction('t')", NodeTest::Kind::kPiTarget, "t"},
+    {"node()", NodeTest::Kind::kAnyKind, nullptr},
+};
+
+NodeTest Resolve(const AxisConformance& fixture, const MatrixTest& t) {
+  NodeTest test;
+  test.kind = t.kind;
+  if (t.name != nullptr) test.name_id = fixture.NameId(t.name);
+  return test;
+}
+
+TEST(AxisKernelMatrixTest, EveryAxisTestAndContextKindMatchesInterpreter) {
+  AxisConformance fixture(kMatrixDocument);
+  std::set<NodeKind> context_kinds;
+  for (uint64_t context : fixture.AllOrders()) {
+    context_kinds.insert(fixture.DomNode(context)->kind);
+    for (Axis axis : kAllAxes) {
+      for (const MatrixTest& t : kMatrixTests) {
+        std::vector<uint64_t> expected = fixture.Interpret(
+            std::string(AxisName(axis)) + "::" + t.text, context);
+        // The cursor produces axis order; the interpreter document order.
+        if (AxisIsReverse(axis)) {
+          std::reverse(expected.begin(), expected.end());
+        }
+        EXPECT_EQ(fixture.RunCursor(axis, Resolve(fixture, t), context),
+                  expected)
+            << AxisName(axis) << "::" << t.text << " from "
+            << context;
+      }
+    }
+    // Reverse child: the children from the last one backwards.
+    for (const MatrixTest& t : kMatrixTests) {
+      std::vector<uint64_t> expected =
+          fixture.Interpret(std::string("child::") + t.text, context);
+      std::reverse(expected.begin(), expected.end());
+      EXPECT_EQ(fixture.RunCursor(Axis::kChild, Resolve(fixture, t), context,
+                                  /*reverse=*/true),
+                expected)
+          << "reverse child::" << t.text << " from " << context;
+    }
+  }
+  EXPECT_EQ(context_kinds,
+            (std::set<NodeKind>{NodeKind::kDocument, NodeKind::kElement,
+                                NodeKind::kAttribute, NodeKind::kText,
+                                NodeKind::kComment,
+                                NodeKind::kProcessingInstruction}));
+}
+
+// Upsilon^D's SkipChildren on the descendant axes: skipping the subtree
+// of every produced `a` leaves exactly the interpreter's nodes that have
+// no produced `a` above them inside the walk.
+TEST(AxisKernelMatrixTest, SkipChildrenPrunesProducedSubtrees) {
+  AxisConformance fixture(kMatrixDocument);
+  auto is_a = [&](uint64_t order) {
+    const Node* n = fixture.DomNode(order);
+    return n->kind == NodeKind::kElement && n->name == "a";
+  };
+  for (uint64_t context : fixture.AllOrders()) {
+    for (Axis axis : {Axis::kDescendant, Axis::kDescendantOrSelf}) {
+      for (const MatrixTest& t : kMatrixTests) {
+        std::vector<uint64_t> expected;
+        std::set<const Node*> skipped;
+        for (uint64_t order : fixture.Interpret(
+                 std::string(AxisName(axis)) + "::" + t.text, context)) {
+          const Node* n = fixture.DomNode(order);
+          bool below_skipped = false;
+          for (const Node* p = n->parent; p != nullptr; p = p->parent) {
+            below_skipped = below_skipped || skipped.count(p) != 0;
+          }
+          if (below_skipped) continue;
+          expected.push_back(order);
+          if (is_a(order)) skipped.insert(n);
+        }
+        EXPECT_EQ(fixture.RunCursor(axis, Resolve(fixture, t), context,
+                                    /*reverse=*/false, is_a),
+                  expected)
+            << AxisName(axis) << "::" << t.text << " from " << context;
+      }
+    }
+  }
+}
+
+// The NVM step loops compare string-values in place. Each predicate
+// below is a one-step child or attribute comparison with a string
+// literal, on either side, with = and !=; the engine must agree with the
+// interpreter on a 5,000-byte (overflowed) text and attribute, a longer
+// multi-chunk one, an element whose string-value spans several text
+// nodes, and an empty element.
+TEST(StepLoopCompareTest, InPlaceCompareMatchesInterpreter) {
+  std::string big;
+  while (big.size() < 5000) big += "0123456789";
+  std::string huge;
+  while (huge.size() < 17000) huge += "abcdefghij";
+  const std::string xml =
+      "<r><e v='" + big + "'><t>" + big + "</t></e><e v='" + huge +
+      "'><t>" + huge + "</t></e><e v='abc'><t>ab<i>c</i></t></e>"
+      "<e v=''><t/></e><e v='abcd'><t>a<i/>b<i>c<i>d</i></i></t></e></r>";
+  auto db = Database::CreateTemp();
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  auto info = (*db)->LoadDocument("d", xml);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  auto dom_doc = dom::ParseDocument(xml);
+  ASSERT_TRUE(dom_doc.ok());
+
+  std::string big_changed = big;
+  big_changed.back() = 'x';
+  const std::vector<std::string> constants = {
+      big, big_changed, big + "0", big.substr(0, 4999), huge,
+      huge.substr(0, 16999), "abc", "ab", "abcd", "", "c"};
+  for (const std::string& k : constants) {
+    for (const char* form :
+         {"/r/e[t = '%']", "/r/e[t != '%']", "/r/e['%' = t]",
+          "/r/e['%' != t]", "/r/e[@v = '%']", "/r/e[@v != '%']",
+          "/r/e['%' = @v]", "/r/e['%' != @v]"}) {
+      std::string query = form;
+      query.replace(query.find('%'), 1, k);
+      const std::string shown = query.substr(0, 40);
+      auto compiled = (*db)->Compile(query);
+      ASSERT_TRUE(compiled.ok()) << shown;
+      EXPECT_NE(
+          (*compiled)->prepared().plan().nvm_listing().find("step_exists"),
+          std::string::npos)
+          << shown;
+      auto got = (*compiled)->EvaluateNodes(info->root);
+      ASSERT_TRUE(got.ok()) << shown << ": " << got.status().ToString();
+      std::vector<uint64_t> got_orders;
+      for (const storage::StoredNode& n : *got) {
+        got_orders.push_back(*n.order());
+      }
+      auto expected = interp::Evaluator::Run(
+          dom_doc->get(), query, (*dom_doc)->root(),
+          interp::EvaluatorOptions());
+      ASSERT_TRUE(expected.ok()) << shown;
+      std::vector<uint64_t> expected_orders;
+      for (const Node* n : expected->nodes) {
+        expected_orders.push_back(n->order);
+      }
+      EXPECT_EQ(got_orders, expected_orders) << shown;
+    }
+  }
+}
 
 TEST(AxisCursorTest, NameTestFiltersByDictionaryId) {
   AxisConformance fixture("<r><a/><b/><a><a/></a></r>");
